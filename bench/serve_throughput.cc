@@ -27,15 +27,16 @@
  * zero-relayout invariant, DESIGN.md §5), when FCFS throughput
  * regresses below the ragged baseline (256 tok/s), or when automatic
  * detection misses the duplicated system prompt or fails to save pool
- * pages and prefill tokens. The final "decode replay hit-rate after
- * warmup" line is the bucketed-capture regression guard:
- * scripts/check.sh parses it and the relayout line and fails the
+ * pages and prefill tokens. The per-policy replay hit-rate after
+ * warmup is the bucketed-capture regression guard: scripts/check.sh
+ * reads it and the relayout bytes from the JSON snapshot and fails the
  * tier-1 run on violation.
  *
  * Observability (DESIGN.md §7): the driver always writes a machine-
  * readable result snapshot to BENCH_serve.json (override with
  * --bench-json=PATH) — tok/s, TTFT and inter-token-latency percentiles
- * from the engine's MetricsRegistry, replay hit-rate, peak pool pages.
+ * from the engine's MetricsRegistry, replay hit-rate, peak pool pages,
+ * host relayout bytes and decode_ragged's memory plan.
  * With --trace-out=PATH and/or --metrics-out=PATH it repeats the FCFS
  * run with the TraceRecorder enabled and dumps the Chrome trace-event
  * timeline / metrics snapshot; that run must (a) reproduce the untraced
@@ -83,12 +84,13 @@ struct TraceResult
     int64_t peakPages = 0;
     /** Decode replay hit-rate measured after the warmup steps. */
     double warmHitRate = 0.0;
-    // Compiler memory-plan report (sampled once at engine build):
+    // Compiler memory-plan report of decode_ragged (sampled once at
+    // engine build):
     int64_t planStorages = 0;
     int64_t planBytes = 0;      //!< Table 2 activation watermark
     int64_t planReuseHits = 0;
     int64_t inplaceRewrites = 0;
-    // Tensor-parallel runs only (engine->deviceGroup() != null):
+    // Priced collectives (zero on a one-device group):
     int64_t collectiveCount = 0;
     double collectiveUs = 0.0;
     int64_t collectiveBytes = 0;
@@ -318,11 +320,9 @@ runTrace(const frontend::LlamaConfig& config,
         (int64_t)engine->metrics().gauge("plan.reuse_hits").last();
     result.inplaceRewrites =
         (int64_t)engine->metrics().gauge("plan.inplace_rewrites").last();
-    if (engine->deviceGroup() != nullptr) {
-        result.collectiveCount = engine->deviceGroup()->collectiveCount();
-        result.collectiveUs = engine->deviceGroup()->collectiveUs();
-        result.collectiveBytes = engine->deviceGroup()->collectiveBytes();
-    }
+    result.collectiveCount = engine->deviceGroup()->collectiveCount();
+    result.collectiveUs = engine->deviceGroup()->collectiveUs();
+    result.collectiveBytes = engine->deviceGroup()->collectiveBytes();
 
     if (instrument) {
         result.traceWellNested =
@@ -585,7 +585,7 @@ main(int argc, char** argv)
               << " in-place rewrites\n";
     if (fcfs_result.inplaceRewrites < 3) {
         std::cerr << "FAIL: in-place planning rewrote fewer than 3 "
-                     "sites across the serving functions\n";
+                     "sites in the served function\n";
         return 1;
     }
     std::cout << "host cache relayout bytes: " << total_relayout << "\n";
@@ -802,7 +802,14 @@ main(int argc, char** argv)
     writePolicyJson(json, "fcfs", fcfs_result);
     json << ",\n";
     writePolicyJson(json, "shortest_prompt", spf_result);
-    json << "\n  }";
+    json << "\n  },\n"
+         << "  \"relayout_bytes\": " << total_relayout << ",\n"
+         << "  \"memory_plan\": {\n"
+         << "    \"storages\": " << fcfs_result.planStorages << ",\n"
+         << "    \"total_bytes\": " << fcfs_result.planBytes << ",\n"
+         << "    \"reuse_hits\": " << fcfs_result.planReuseHits << ",\n"
+         << "    \"inplace_rewrites\": " << fcfs_result.inplaceRewrites
+         << "\n  }";
     if (!spec_results.empty()) {
         // Tokens/s uplift against the k=0 FCFS run, per acceptance rate.
         json << ",\n  \"speculation\": {\n"

@@ -26,20 +26,38 @@ if [[ "${SKIP_BENCH:-0}" == 1 ]]; then
   exit 0
 fi
 
+# The serve gates below read the bench JSON snapshots, never stdout.
+if ! command -v python3 > /dev/null; then
+  echo "FAIL: python3 is required to read the bench JSON gates" >&2
+  exit 1
+fi
+
+# json_get FILE KEY...: prints the JSON value at that key path of FILE,
+# or nothing when the path is absent.
+json_get() {
+  python3 -c '
+import json, sys
+value = json.load(open(sys.argv[1]))
+for key in sys.argv[2:]:
+    if not isinstance(value, dict) or key not in value:
+        sys.exit(0)
+    value = value[key]
+print(json.dumps(value))' "$@"
+}
+
 # Smoke-run the bench harness (timing mode, fast) so driver rot is caught:
-# one paper-figure driver plus the serving-throughput driver.
+# one paper-figure driver plus the serving-throughput driver (which
+# writes BENCH_serve.json).
 echo "== bench smoke: fig14 nvidia decode"
 ./bench_fig14_nvidia_decode > /dev/null
 echo "== bench smoke: serve throughput"
-serve_out="$(./bench_serve_throughput)"
-printf '%s\n' "$serve_out"
+./bench_serve_throughput
 
 # Zero-relayout gate (DESIGN.md §5): the page-pool serving path must
 # never copy cache bytes on the host — EngineStats.relayoutBytes is a
 # tripwire that any future host-side cache stack/split/pad must
 # increment, and this gate turns tripping it into a tier-1 failure.
-relayout="$(printf '%s\n' "$serve_out" |
-  sed -n 's/^host cache relayout bytes: \([0-9]*\)$/\1/p' | tail -1)"
+relayout="$(json_get BENCH_serve.json relayout_bytes)"
 if [[ -z "$relayout" ]]; then
   echo "FAIL: bench_serve_throughput did not report relayout bytes" >&2
   exit 1
@@ -55,11 +73,14 @@ echo "zero-relayout gate passed (0 host cache bytes copied)"
 # decode must replay captured graphs at the documented >= 80% post-warmup
 # rate (docs/BENCHMARKS.md). Anything lower means the serving path is
 # re-capturing instead of replaying (the pre-bucketing gap, or a
-# signature churn regression).
+# signature churn regression). The gated rate is the lower of the two
+# scheduling policies' rates.
 min_hit_rate=80
-hit_rate="$(printf '%s\n' "$serve_out" |
-  sed -n 's/^decode replay hit-rate after warmup: \([0-9.]*\)%$/\1/p' |
-  tail -1)"
+hit_rate="$(python3 -c '
+import json, sys
+policies = json.load(open(sys.argv[1])).get("policies", {})
+rates = [p["replay_hit_rate"] for p in policies.values()]
+print(round(100 * min(rates), 1) if rates else "")' BENCH_serve.json)"
 if [[ -z "$hit_rate" ]]; then
   echo "FAIL: bench_serve_throughput did not report a replay hit-rate" >&2
   exit 1
@@ -81,19 +102,21 @@ echo "decode replay hit-rate gate passed (${hit_rate}% >= ${min_hit_rate}%)"
 #     machinery may not perturb the non-speculative path;
 #  2. tokens/s uplift at high acceptance is real (> 1.0x).
 echo "== bench smoke: serve throughput (speculative, k=4)"
-spec_out="$(./bench_serve_throughput --spec-k=4 --bench-json=bench_spec.json)"
-printf '%s\n' "$spec_out" | sed -n '/^speculative decoding/,$p'
-plain_fcfs="$(printf '%s\n' "$serve_out" | sed -n 's/^fcfs throughput: //p')"
-spec_fcfs="$(printf '%s\n' "$spec_out" | sed -n 's/^fcfs throughput: //p')"
+./bench_serve_throughput --spec-k=4 --bench-json=bench_spec.json |
+  sed -n '/^speculative decoding/,$p'
+plain_fcfs="$(json_get BENCH_serve.json policies fcfs tokens_per_sec)"
+spec_fcfs="$(json_get bench_spec.json policies fcfs tokens_per_sec)"
 if [[ -z "$spec_fcfs" || "$spec_fcfs" != "$plain_fcfs" ]]; then
   echo "FAIL: speculation-off baseline drifted inside the --spec-k run" \
        "('$spec_fcfs' vs '$plain_fcfs')" >&2
   exit 1
 fi
-echo "speculation-off identity gate passed (k=0 FCFS: ${spec_fcfs})"
-uplift="$(printf '%s\n' "$spec_out" |
-  sed -n 's/^speculation uplift at 0.95 acceptance: \([0-9.]*\)x$/\1/p' |
-  tail -1)"
+echo "speculation-off identity gate passed (k=0 FCFS: ${spec_fcfs} tok/s)"
+uplift="$(python3 -c '
+import json, sys
+rates = json.load(open(sys.argv[1])).get("speculation", {}).get("rates", [])
+print(next((r["uplift"] for r in rates if r["acceptance_rate"] == 0.95), ""))
+' bench_spec.json)"
 if [[ -z "$uplift" ]]; then
   echo "FAIL: --spec-k run did not report an uplift" >&2
   exit 1
@@ -119,9 +142,9 @@ if ! cmp -s BENCH_serve.json bench_tp1.json; then
   exit 1
 fi
 echo "tp=1 identity gate passed (bench JSON byte-identical)"
-tp_out="$(./bench_serve_throughput --tp=4 --bench-json=bench_tp4.json)"
-printf '%s\n' "$tp_out" | sed -n '/^tensor parallel/p'
-if ! printf '%s\n' "$tp_out" | grep -q '^tensor parallel (tp = 4'; then
+./bench_serve_throughput --tp=4 --bench-json=bench_tp4.json |
+  sed -n '/^tensor parallel/p'
+if [[ "$(json_get bench_tp4.json tensor_parallel tp)" != 4 ]]; then
   echo "FAIL: --tp=4 run did not report a tensor-parallel result" >&2
   exit 1
 fi
@@ -159,29 +182,26 @@ for pair in "trace_a.json trace_b.json" "metrics_a.json metrics_b.json" \
 done
 echo "determinism tripwire passed (trace/metrics/bench JSON byte-identical)"
 
-if command -v python3 > /dev/null; then
-  for f in trace_a.json metrics_a.json bench_a.json bench_spec.json \
-           bench_tp4.json bench_router.json; do
-    if ! python3 -m json.tool "$f" > /dev/null; then
-      echo "FAIL: $f is not valid JSON" >&2
-      exit 1
-    fi
-  done
-  echo "exported JSON validated (trace, metrics, bench snapshot)"
-else
-  echo "python3 not found; skipping JSON schema validation"
-fi
+for f in trace_a.json metrics_a.json bench_a.json bench_spec.json \
+         bench_tp4.json bench_router.json; do
+  if ! python3 -m json.tool "$f" > /dev/null; then
+    echo "FAIL: $f is not valid JSON" >&2
+    exit 1
+  fi
+done
+echo "exported JSON validated (trace, metrics, bench snapshot)"
 
 # Aliasing-contract gates (DESIGN.md §9). The serve bench fails internally
 # when InplacePlanPass rediscovers fewer than 3 in-place rewrites on the
 # decode path; here we pin the exported plan report (Table 2 activation
 # memory tracking) and the differential instrumentation:
-#  1. the memory-plan line must be present (storages/bytes/reuse/in-place);
+#  1. the decode_ragged memory plan (storages/bytes/reuse/in-place) must
+#     be present in the bench JSON;
 #  2. RELAX_ALIAS_CHECK=1 must not perturb the timing-mode run — the
 #     shadow copy-in/copy-out reference only engages in data mode;
 #  3. the 40-seed fuzz corpus re-runs with every in-place kernel executed
 #     twice (aliased vs copy-in/copy-out) and bit-compared.
-plan_line="$(printf '%s\n' "$serve_out" | sed -n 's/^memory plan: //p' | tail -1)"
+plan_line="$(json_get BENCH_serve.json memory_plan)"
 if [[ -z "$plan_line" ]]; then
   echo "FAIL: bench_serve_throughput did not report a memory plan" >&2
   exit 1
@@ -189,15 +209,16 @@ fi
 echo "memory plan report: ${plan_line}"
 
 echo "== bench smoke: serve throughput (RELAX_ALIAS_CHECK identity)"
-alias_out="$(RELAX_ALIAS_CHECK=1 ./bench_serve_throughput)"
-base_fcfs="$(printf '%s\n' "$serve_out" | sed -n 's/^fcfs throughput: //p')"
-alias_fcfs="$(printf '%s\n' "$alias_out" | sed -n 's/^fcfs throughput: //p')"
+RELAX_ALIAS_CHECK=1 ./bench_serve_throughput --bench-json=bench_alias.json \
+  > /dev/null
+base_fcfs="$(json_get BENCH_serve.json policies fcfs tokens_per_sec)"
+alias_fcfs="$(json_get bench_alias.json policies fcfs tokens_per_sec)"
 if [[ -z "$alias_fcfs" || "$alias_fcfs" != "$base_fcfs" ]]; then
   echo "FAIL: RELAX_ALIAS_CHECK perturbed the timing-mode bench" \
        "('$alias_fcfs' vs '$base_fcfs')" >&2
   exit 1
 fi
-echo "alias-check identity gate passed (FCFS: ${alias_fcfs})"
+echo "alias-check identity gate passed (FCFS: ${alias_fcfs} tok/s)"
 
 echo "== instrumented fuzz smoke (differential alias verification)"
 RELAX_ALIAS_CHECK=1 RELAX_VERIFY_ALIAS=1 \

@@ -98,6 +98,17 @@ class DeviceGroup
         }
     }
 
+    /**
+     * The one-device group over an existing device: how a single-device
+     * model joins the group abstraction. It has no peers, so it prices
+     * no collective and leaves the device's trace lane untouched.
+     */
+    explicit DeviceGroup(std::shared_ptr<SimDevice> device)
+        : devices_{std::move(device)}, link_(nvlink())
+    {
+        RELAX_ICHECK(devices_[0]) << "device group over a null device";
+    }
+
     int size() const { return (int)devices_.size(); }
     const InterconnectSpec& link() const { return link_; }
 

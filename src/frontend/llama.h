@@ -71,18 +71,22 @@ struct LlamaConfig
  *       (logits [b, n, V], k_0 [b, h, n, d], v_0, ..., k_L-1, v_L-1)
  *   decode(ids [b, 1], k_0 [b, h, m, d], v_0, ..., weights...) ->
  *       (logits [b, 1, V], k_0' [b, h, m+1, d], v_0', ...)
- *   decode_ragged(ids [b, n], seq_lens [b] i64, block_table [b, w] i64,
+ *   decode_ragged(ids [1, total] i64, seq_lens [b] i64,
+ *                 cu_fresh [b+1] i64, block_table [b, w] i64,
  *                 k_pool_0 [p, h, c, d], v_pool_0, ..., weights...) ->
- *       (logits [b, n, V], k_pool_0', v_pool_0', ...)
+ *       (logits [1, total, V], k_pool_0', v_pool_0', ...)
  *
  * `prefill`/`decode` are the dense per-call cache layout the figure
  * benches compile. `decode_ragged` is the serving entry point: every
  * cache access gathers/scatters through the persistent KV page pools
  * (p physical pages of c positions per layer per k/v) via the block
- * table, n = 1 is a steady-state decode step, and n > 1 prefills a
- * prompt chunk straight into pool pages starting at each row's
- * seq_lens[i] offset. The returned pools alias the inputs (in-place
- * append) — nothing is allocated or copied per call.
+ * table. The fresh tokens of all b rows are packed back to back in
+ * `ids`: row r owns positions [cu_fresh[r], cu_fresh[r+1]) and
+ * cu_fresh[b] == total. A row with one fresh token is a steady-state
+ * decode step; a longer row prefills a prompt chunk straight into pool
+ * pages starting at its seq_lens[r] offset. The returned pools alias
+ * the inputs (in-place append) — nothing is allocated or copied per
+ * call.
  *
  * `weight_names` receives the parameter order after the data inputs, so
  * callers can construct matching argument lists.
@@ -100,29 +104,13 @@ std::vector<NDArray> makeLlamaWeights(const LlamaConfig& config,
  * wv / w_gate / w_up / lm_head are split along the output dim, wo /
  * w_down along the input dim, norms and embeddings replicated (shared by
  * handle — weights are read-only). Metadata-only weights slice shape-only.
- * Throws when a sharded dim is not divisible by `num_shards` or the
+ * One shard holds the full weights as given (any config). Otherwise
+ * throws when a sharded dim is not divisible by `num_shards` or the
  * config is quantized.
  */
 std::vector<NDArray> shardLlamaWeights(const LlamaConfig& config,
                                        const std::vector<NDArray>& full,
                                        int shard, int num_shards);
-
-// --- batched input layout helpers (serving engine) ------------------------
-//
-// The serving engine marshals per-request token ids into the rectangular
-// [b, n] tensor the compiled functions take. Cache data never moves on
-// the host: it lives in the persistent page pools the KVCacheManager
-// owns, and every compiled call addresses it through the block table
-// (EngineStats::relayoutBytes pins the decode path to zero host-side
-// cache copies). stackBatch/splitBatch remain for small host metadata
-// and for the dense legacy `decode` layout the figure benches use.
-
-/** Stacks per-sequence [1, rest...] tensors into one [b, rest...] tensor.
- *  All parts must agree on trailing shape, dtype and data/meta mode. */
-NDArray stackBatch(const std::vector<NDArray>& parts);
-
-/** Splits a batched [b, rest...] tensor into b copies of [1, rest...]. */
-std::vector<NDArray> splitBatch(const NDArray& batched);
 
 } // namespace frontend
 } // namespace relax

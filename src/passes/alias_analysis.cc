@@ -508,22 +508,37 @@ verifyAliasSafety(const IRModulePtr& module)
 // ---------------------------------------------------------------------------
 
 MemoryPlanReport
-memoryPlanReport(const IRModulePtr& module)
+memoryPlanReport(const IRModulePtr& module, const std::string& name)
 {
     MemoryPlanReport report;
-    auto attr_int = [](const Function& func, const char* name) {
-        auto it = func->attrs.find(name);
+    Function func = module->getFunction(name);
+    if (!func) return report;
+    auto attr_int = [&func](const char* attr) {
+        auto it = func->attrs.find(attr);
         return it == func->attrs.end() ? (int64_t)0
                                        : (int64_t)std::stoll(it->second);
     };
-    for (const auto& [name, func] : module->functions()) {
-        report.storagesAllocated += attr_int(func, "planned.num_storages");
-        report.bytesAllocated += attr_int(func, "planned.total_bytes");
-        report.reuseHits += attr_int(func, "planned.reuse_hits");
-        report.bytesReused += attr_int(func, "planned.bytes_reused");
-        report.inplaceWrites += attr_int(func, "inplace.rewrites");
-    }
+    report.storagesAllocated = attr_int("planned.num_storages");
+    report.bytesAllocated = attr_int("planned.total_bytes");
+    report.reuseHits = attr_int("planned.reuse_hits");
+    report.bytesReused = attr_int("planned.bytes_reused");
+    report.inplaceWrites = attr_int("inplace.rewrites");
     return report;
+}
+
+MemoryPlanReport
+memoryPlanReport(const IRModulePtr& module)
+{
+    MemoryPlanReport total;
+    for (const auto& entry : module->functions()) {
+        MemoryPlanReport one = memoryPlanReport(module, entry.first);
+        total.storagesAllocated += one.storagesAllocated;
+        total.bytesAllocated += one.bytesAllocated;
+        total.reuseHits += one.reuseHits;
+        total.bytesReused += one.bytesReused;
+        total.inplaceWrites += one.inplaceWrites;
+    }
+    return total;
 }
 
 } // namespace passes

@@ -214,8 +214,12 @@ struct MemoryPlanReport
     int64_t inplaceWrites = 0;  //!< kernel calls writing through an input
 };
 
-/** Sums the per-function "planned.*" / "inplace.*" attrs the passes
- *  leave behind. Functions that were not planned contribute zero. */
+/** The "planned.*" / "inplace.*" attrs the passes leave on function
+ *  `name`; zero when it was not planned or does not exist. */
+MemoryPlanReport memoryPlanReport(const ir::IRModulePtr& module,
+                                  const std::string& name);
+
+/** The per-function report summed over every function of `module`. */
 MemoryPlanReport memoryPlanReport(const ir::IRModulePtr& module);
 
 } // namespace passes

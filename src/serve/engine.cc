@@ -67,6 +67,17 @@ draftPoolBytes(const SpeculationOptions& spec, const EngineOptions& opts)
            opts.scheduler.maxBatchSize;
 }
 
+/** buildLlama(config) without the dense `prefill`/`decode` the engine
+ *  never calls. */
+ir::IRModulePtr
+servedModule(const frontend::LlamaConfig& config)
+{
+    ir::IRModulePtr module = frontend::buildLlama(config);
+    module->removeFunction("prefill");
+    module->removeFunction("decode");
+    return module;
+}
+
 } // namespace
 
 Engine::Engine(vm::ExecutablePtr exec,
@@ -75,22 +86,22 @@ Engine::Engine(vm::ExecutablePtr exec,
                EngineOptions options,
                std::shared_ptr<device::DeviceGroup> group)
     : config_(std::move(config)), options_(options),
-      group_(std::move(group)), scheduler_(options.scheduler),
-      sampler_(options.sampler), weights_(std::move(weights)),
+      scheduler_(options.scheduler), sampler_(options.sampler),
       draftSampler_(options.sampler)
 {
-    if (group_ && group_->size() <= 1) group_.reset();
-    if (group_) {
-        RELAX_ICHECK(dev == group_->devicePtr(0))
-            << "tensor-parallel engine must run on the group's device 0";
+    if (group) {
+        RELAX_ICHECK(dev == group->devicePtr(0))
+            << "engine must run on its device group's device 0";
+    } else {
+        group = std::make_shared<device::DeviceGroup>(std::move(dev));
     }
-    // Memory-plan observability: the compiler's plan for the serving
-    // functions is static, so its footprint is sampled once here (the
+    // Memory-plan observability: the compiler's plan for the served
+    // function is static, so its footprint is sampled once here (the
     // Table 2 "activation memory" figure is plan.total_bytes of the
     // decode path; in-place rewrites are what keep it flat).
     {
-        passes::MemoryPlanReport plan = passes::memoryPlanReport(
-            exec->module);
+        passes::MemoryPlanReport plan =
+            passes::memoryPlanReport(exec->module, "decode_ragged");
         metrics_.gauge("plan.storages")
             .sample((double)plan.storagesAllocated);
         metrics_.gauge("plan.total_bytes")
@@ -100,26 +111,6 @@ Engine::Engine(vm::ExecutablePtr exec,
             .sample((double)plan.bytesReused);
         metrics_.gauge("plan.inplace_rewrites")
             .sample((double)plan.inplaceWrites);
-    }
-    machine_ = std::make_unique<vm::VirtualMachine>(exec, std::move(dev),
-                                                    data_mode);
-    if (group_) {
-        // Rank 0 is machine_; ranks 1..N-1 get their own VM on their own
-        // device, all sharing ONE ShardPass'd executable (the split is
-        // uniform, so one compiled program serves every shard) — which
-        // is also what invokeLockstep requires. Each rank holds its
-        // Megatron slice of the full weights; replicated tensors share
-        // storage by handle.
-        int n = group_->size();
-        for (int s = 1; s < n; ++s) {
-            shardMachines_.push_back(std::make_unique<vm::VirtualMachine>(
-                exec, group_->devicePtr(s), data_mode));
-        }
-        shardWeights_.reserve((size_t)n);
-        for (int s = 0; s < n; ++s) {
-            shardWeights_.push_back(
-                frontend::shardLlamaWeights(config_, weights_, s, n));
-        }
     }
     int64_t budget = options_.kvBudgetBytes;
     if (budget <= 0) {
@@ -138,7 +129,7 @@ Engine::Engine(vm::ExecutablePtr exec,
             resident += options_.speculation.draftConfig.weightBytes() +
                         draftPoolBytes(options_.speculation, options_);
         }
-        budget = (int64_t)((double)(machine_->dev().spec().vramBytes -
+        budget = (int64_t)((double)(group->device(0).spec().vramBytes -
                                     resident) *
                            0.8);
         int64_t usable = config_.kvBytesPerToken() *
@@ -152,19 +143,40 @@ Engine::Engine(vm::ExecutablePtr exec,
     // bytes regardless of sharding — the KV manager divides residency
     // per shard internally, so admission decisions (and therefore the
     // token streams) are identical at every tensorParallel.
-    std::vector<vm::VirtualMachine*> kv_shards;
-    if (group_) {
-        kv_shards.push_back(machine_.get());
-        for (auto& shard : shardMachines_) kv_shards.push_back(shard.get());
+    target_ = makeRunner(std::move(exec), std::move(group), data_mode,
+                         config_, weights, budget);
+    // One observability spine: the scheduler stamps lifecycle instants
+    // with the device clock + TraceRecorder.
+    scheduler_.attachDevice(&machine().dev());
+}
+
+Engine::ModelRunner
+Engine::makeRunner(vm::ExecutablePtr exec,
+                   std::shared_ptr<device::DeviceGroup> group,
+                   bool data_mode, const frontend::LlamaConfig& config,
+                   const std::vector<NDArray>& weights, int64_t kv_budget)
+{
+    // Rank r gets its own VM on the group's device r, all sharing ONE
+    // executable (the ShardPass split is uniform, so one compiled
+    // program serves every rank), and holds its Megatron slice of the
+    // full weights; replicated tensors share storage by handle.
+    ModelRunner runner;
+    int n = group->size();
+    for (int r = 0; r < n; ++r) {
+        runner.machines.push_back(std::make_unique<vm::VirtualMachine>(
+            exec, group->devicePtr(r), data_mode));
+        runner.ranks.push_back(runner.machines.back().get());
+        runner.weights.push_back(
+            frontend::shardLlamaWeights(config, weights, r, n));
     }
-    kv_ = std::make_unique<KVCacheManager>(config_, *machine_, budget,
-                                           options_.kvBlockTokens,
-                                           kv_shards);
-    // One observability spine: the KV manager mirrors its event tallies
-    // into the engine's registry, and the scheduler stamps lifecycle
-    // instants with the device clock + TraceRecorder.
-    kv_->setMetrics(&metrics_);
-    scheduler_.attachDevice(&machine_->dev());
+    runner.group = std::move(group);
+    runner.kv = std::make_unique<KVCacheManager>(
+        config, *runner.ranks[0], kv_budget, options_.kvBlockTokens,
+        runner.ranks);
+    // The KV manager mirrors its event tallies into the engine's
+    // registry.
+    runner.kv->setMetrics(&metrics_);
+    return runner;
 }
 
 std::unique_ptr<Engine>
@@ -181,35 +193,28 @@ Engine::build(const frontend::LlamaConfig& config,
         // graph.
         copts.graphBucketTokens = options.kvBlockTokens;
     }
-    std::shared_ptr<device::DeviceGroup> group;
-    if (options.tensorParallel > 1) {
-        // ShardPass rewrites decode_ragged into the per-shard program;
-        // the engine runs it across an N-device group in lockstep.
-        copts.tensorParallel = options.tensorParallel;
-        group = std::make_shared<device::DeviceGroup>(
-            copts.device, (int)options.tensorParallel,
-            device::interconnectByName(options.interconnect));
-    }
-    auto exec = frontend::compile(frontend::buildLlama(config), copts);
-    auto dev = group ? group->devicePtr(0)
-                     : std::make_shared<device::SimDevice>(copts.device);
+    // At tp > 1 ShardPass rewrites decode_ragged into the per-shard
+    // program the engine runs across the group in lockstep.
+    copts.tensorParallel = options.tensorParallel;
+    auto group = std::make_shared<device::DeviceGroup>(
+        copts.device, (int)options.tensorParallel,
+        device::interconnectByName(options.interconnect));
+    auto exec = frontend::compile(servedModule(config), copts);
     auto weights = frontend::makeLlamaWeights(config, data_mode);
-    auto engine = std::make_unique<Engine>(std::move(exec), std::move(dev),
-                                           data_mode, config,
-                                           std::move(weights), options,
-                                           std::move(group));
+    auto engine = std::make_unique<Engine>(
+        std::move(exec), group->devicePtr(0), data_mode, config,
+        std::move(weights), options, group);
     if (options.speculation.draftTokens > 0) {
         // The draft compiles under the same options (device, bounds,
         // bucket): its verify-free n=1 decode reuses the exact symbolic
         // machinery, just over a smaller config. It is never sharded —
-        // it runs single-VM on the group's device 0, and any clock skew
-        // merges at the target's next collective barrier.
+        // it runs on the group's device 0, and any clock skew merges at
+        // the target's next collective barrier.
         const frontend::LlamaConfig& dconfig =
             options.speculation.draftConfig;
         frontend::CompileOptions draft_copts = copts;
         draft_copts.tensorParallel = 1;
-        auto dexec =
-            frontend::compile(frontend::buildLlama(dconfig), draft_copts);
+        auto dexec = frontend::compile(servedModule(dconfig), draft_copts);
         engine->enableSpeculation(
             std::move(dexec),
             frontend::makeLlamaWeights(dconfig, data_mode,
@@ -227,7 +232,7 @@ Engine::enableSpeculation(vm::ExecutablePtr draft_exec,
         << "enableSpeculation: options.speculation.draftTokens must be "
            "positive at engine construction (the KV budget accounts for "
            "the draft footprint there)";
-    RELAX_ICHECK(!draftMachine_) << "draft model already attached";
+    RELAX_ICHECK(!draft_) << "draft model already attached";
     RELAX_ICHECK(spec.draftConfig.vocabSize == config_.vocabSize)
         << "draft vocabulary (" << spec.draftConfig.vocabSize
         << ") must match the target's (" << config_.vocabSize
@@ -235,17 +240,16 @@ Engine::enableSpeculation(vm::ExecutablePtr draft_exec,
     RELAX_ICHECK(spec.draftConfig.maxContext >= config_.maxContext)
         << "draft context window (" << spec.draftConfig.maxContext
         << ") must cover the target's (" << config_.maxContext << ")";
-    draftMachine_ = std::make_unique<vm::VirtualMachine>(
-        std::move(draft_exec), machine_->devPtr(), machine_->dataMode());
+    // The draft is a one-device runner on the target's device 0.
+    draft_ = makeRunner(
+        std::move(draft_exec),
+        std::make_shared<device::DeviceGroup>(machine().devPtr()),
+        machine().dataMode(), spec.draftConfig, draft_weights,
+        draftPoolBytes(spec, options_));
     // Namespace the draft's captured graphs: graph ids restart per
     // executable, so without this a draft region could replay a graph
     // the target captured on the shared device.
-    draftMachine_->setGraphKeyspace("draft");
-    draftKv_ = std::make_unique<KVCacheManager>(
-        spec.draftConfig, *draftMachine_, draftPoolBytes(spec, options_),
-        options_.kvBlockTokens);
-    draftKv_->setMetrics(&metrics_);
-    draftWeights_ = std::move(draft_weights);
+    draft_->ranks[0]->setGraphKeyspace("draft");
 }
 
 RequestId
@@ -269,10 +273,10 @@ Engine::addRequest(std::vector<int64_t> prompt, int64_t max_new_tokens,
     seq->request.maxNewTokens = max_new_tokens;
     seq->request.stopToken = stop_token;
     seq->stats.arrivalUs =
-        arrival_us >= 0 ? arrival_us : machine_->dev().clockUs();
+        arrival_us >= 0 ? arrival_us : machine().dev().clockUs();
     RequestId id = seq->request.id;
     metrics_.counter("serve.requests_submitted").add();
-    TraceRecorder& trace = machine_->dev().trace();
+    TraceRecorder& trace = machine().dev().trace();
     if (trace.enabled()) {
         // The request's whole lifetime is one async span keyed by its id
         // (async pairs may overlap, unlike 'X' spans), opened at the
@@ -296,7 +300,7 @@ Engine::hasPendingWork() const
 int64_t
 Engine::sampleFor(const NDArray& logits, int64_t position)
 {
-    if (machine_->dataMode()) {
+    if (machine().dataMode()) {
         return sampler_.samplePacked(logits, position);
     }
     return sampler_.sampleSynthetic(config_.vocabSize);
@@ -308,7 +312,7 @@ Engine::appendToken(const SequenceStatePtr& seq, int64_t token)
     seq->generated.push_back(token);
     ++seq->stats.generatedTokens;
     ++stats_.tokensGenerated;
-    double now = machine_->dev().clockUs();
+    double now = machine().dev().clockUs();
     if (seq->stats.firstTokenUs < 0) {
         seq->stats.firstTokenUs = now;
         // TTFT from the ORIGINAL arrival stamp: eviction + re-admission
@@ -317,7 +321,7 @@ Engine::appendToken(const SequenceStatePtr& seq, int64_t token)
         // (engine.h metrics() contract; pinned by test_engine.cc).
         metrics_.histogram("serve.ttft_us")
             .record(now - seq->stats.arrivalUs);
-        TraceRecorder& trace = machine_->dev().trace();
+        TraceRecorder& trace = machine().dev().trace();
         if (trace.enabled()) {
             trace.instant(trace_lanes::kEngine, trace_lanes::kRequests,
                           "first_token", "lifecycle", now,
@@ -342,15 +346,15 @@ void
 Engine::finishSequence(const SequenceStatePtr& seq)
 {
     seq->phase = RequestPhase::kFinished;
-    seq->stats.finishUs = machine_->dev().clockUs();
-    kv_->release(seq->request.id);
-    if (draftKv_) draftKv_->release(seq->request.id);
+    seq->stats.finishUs = machine().dev().clockUs();
+    target_.kv->release(seq->request.id);
+    if (draft_) draft_->kv->release(seq->request.id);
     running_.erase(std::find(running_.begin(), running_.end(), seq));
     finished_.push_back(seq);
     ++stats_.requestsFinished;
     stats_.ttftSumUs += seq->stats.ttftUs();
     metrics_.counter("serve.requests_finished").add();
-    TraceRecorder& trace = machine_->dev().trace();
+    TraceRecorder& trace = machine().dev().trace();
     if (trace.enabled()) {
         trace.asyncEnd(trace_lanes::kEngine, trace_lanes::kRequests,
                        "request", "request", seq->request.id,
@@ -364,19 +368,19 @@ void
 Engine::evict(const SequenceStatePtr& victim)
 {
     metrics_.counter("serve.evictions").add();
-    TraceRecorder& trace = machine_->dev().trace();
+    TraceRecorder& trace = machine().dev().trace();
     if (trace.enabled()) {
         trace.instant(trace_lanes::kEngine, trace_lanes::kRequests,
-                      "evict", "lifecycle", machine_->dev().clockUs(),
+                      "evict", "lifecycle", machine().dev().clockUs(),
                       {{"request", victim->request.id},
                        {"ctx_len", victim->ctxLen},
                        {"generated", (int64_t)victim->generated.size()}});
     }
     victim->ctxLen = 0;
-    kv_->release(victim->request.id);
+    target_.kv->release(victim->request.id);
     // The draft cache rebuilds by catch-up after re-admission, exactly
     // as the target re-prefills.
-    if (draftKv_) draftKv_->release(victim->request.id);
+    if (draft_) draft_->kv->release(victim->request.id);
     running_.erase(std::find(running_.begin(), running_.end(), victim));
     ++victim->stats.preemptions;
     ++stats_.evictions;
@@ -395,27 +399,27 @@ Engine::ensureWritable(const SequenceStatePtr& seq, int64_t tokens,
     // Evicting a prefix-sharing reader can itself unshare the range, so
     // the condition is re-checked every round.
     if (seq->phase != RequestPhase::kRunning) return;
-    while (!kv_->canHoldWrite(seq->request.id, tokens, write_start)) {
+    while (!target_.kv->canHoldWrite(seq->request.id, tokens, write_start)) {
         SequenceStatePtr victim = Scheduler::pickVictim(running_);
         RELAX_ICHECK(victim) << "no eviction victim";
         if (victim == seq && running_.size() == 1) {
             RELAX_THROW(RuntimeError)
-                << "KV budget (" << kv_->budgetBytes()
+                << "KV budget (" << target_.kv->budgetBytes()
                 << " bytes) cannot grow the only running sequence to "
                 << tokens << " positions";
         }
         evict(victim);
         if (victim == seq) return;
     }
-    kv_->reserveWrite(seq->request.id, tokens, write_start);
+    target_.kv->reserveWrite(seq->request.id, tokens, write_start);
 }
 
 NDArray
-Engine::invokeRaggedOn(vm::VirtualMachine& vm, KVCacheManager& kv,
-                       const std::vector<NDArray>& weights,
+Engine::invokeRaggedOn(ModelRunner& model,
                        const std::vector<RequestId>& order,
                        const std::vector<std::vector<int64_t>>& tokens)
 {
+    KVCacheManager& kv = *model.kv;
     int64_t table_width = 1;
     for (RequestId id : order) {
         table_width = std::max(table_width, kv.pagesOf(id));
@@ -424,63 +428,31 @@ Engine::invokeRaggedOn(vm::VirtualMachine& vm, KVCacheManager& kv,
     // host-marshalled inputs; cache data stays in the pool
     // (relayoutBytes stays 0 — any future host-side cache copy must be
     // added to that counter).
-    NDArray ids = packedIdsTensor(tokens, vm.dataMode());
+    NDArray ids = packedIdsTensor(tokens, model.ranks[0]->dataMode());
     NDArray lens = kv.lengthsView(order);
     NDArray cu = cuFreshTensor(tokens);
     NDArray table = kv.blockTableView(order, table_width);
 
-    if (&vm == machine_.get() && group_) {
-        // Tensor-parallel target call: every rank gets the SAME host
-        // metadata tensors (shared handles — there is one logical batch)
-        // but its own pool slice and weight slice; the lockstep driver
-        // prices the ccl.* sites as group collectives. Shard 0's result
-        // carries the full logits (the all_gather materializes them on
-        // every rank).
-        std::vector<vm::VirtualMachine*> shard_vms{machine_.get()};
-        for (auto& shard : shardMachines_) shard_vms.push_back(shard.get());
-        std::vector<std::vector<vm::Value>> shard_args(shard_vms.size());
-        for (size_t s = 0; s < shard_vms.size(); ++s) {
-            std::vector<vm::Value>& args = shard_args[s];
-            args.emplace_back(ids);
-            args.emplace_back(lens);
-            args.emplace_back(cu);
-            args.emplace_back(table);
-            for (const NDArray& pool : kv.poolTensors((int)s)) {
-                args.emplace_back(pool);
-            }
-            for (const NDArray& w : shardWeights_[s]) {
-                args.emplace_back(w);
-            }
-        }
-        std::vector<vm::Value> results = vm::VirtualMachine::invokeLockstep(
-            shard_vms, *group_, "decode_ragged", shard_args);
-        auto out = std::get<vm::TupleValuePtr>(results[0]);
-        return std::get<NDArray>(out->fields[0]);
+    // Every rank gets the SAME host metadata tensors (shared handles —
+    // there is one logical batch) but its own pool slice and weight
+    // slice; the lockstep driver prices the ccl.* sites as group
+    // collectives. Rank 0's result carries the full logits (the
+    // all_gather materializes them on every rank).
+    std::vector<std::vector<vm::Value>> args(model.ranks.size());
+    for (size_t r = 0; r < args.size(); ++r) {
+        const std::vector<NDArray>& pools = kv.poolTensors((int)r);
+        args[r].reserve(4 + pools.size() + model.weights[r].size());
+        args[r].emplace_back(ids);
+        args[r].emplace_back(lens);
+        args[r].emplace_back(cu);
+        args[r].emplace_back(table);
+        for (const NDArray& pool : pools) args[r].emplace_back(pool);
+        for (const NDArray& w : model.weights[r]) args[r].emplace_back(w);
     }
-
-    std::vector<vm::Value> args;
-    args.emplace_back(std::move(ids));
-    args.emplace_back(std::move(lens));
-    args.emplace_back(std::move(cu));
-    args.emplace_back(std::move(table));
-    for (const NDArray& pool : kv.poolTensors()) args.emplace_back(pool);
-    args.reserve(args.size() + weights.size());
-    for (const NDArray& w : weights) args.emplace_back(w);
-    auto out = std::get<vm::TupleValuePtr>(
-        vm.invoke("decode_ragged", std::move(args)));
+    std::vector<vm::Value> results = vm::VirtualMachine::invokeLockstep(
+        model.ranks, *model.group, "decode_ragged", args);
+    auto out = std::get<vm::TupleValuePtr>(results[0]);
     return std::get<NDArray>(out->fields[0]);
-}
-
-NDArray
-Engine::invokeRagged(const std::vector<SequenceStatePtr>& batch,
-                     const std::vector<std::vector<int64_t>>& tokens)
-{
-    std::vector<RequestId> order;
-    order.reserve(batch.size());
-    for (const SequenceStatePtr& seq : batch) {
-        order.push_back(seq->request.id);
-    }
-    return invokeRaggedOn(*machine_, *kv_, weights_, order, tokens);
 }
 
 void
@@ -502,7 +474,7 @@ Engine::proposeDrafts(const std::vector<SequenceStatePtr>& rows,
         int64_t total = 0;
         for (const SequenceStatePtr& seq : rows) {
             RequestId id = seq->request.id;
-            int64_t have = draftKv_->committedTokens(id);
+            int64_t have = draft_->kv->committedTokens(id);
             int64_t want = seq->ctxLen;
             if (have >= want || total >= cap) continue;
             int64_t take = std::min(want - have, cap - total);
@@ -511,16 +483,15 @@ Engine::proposeDrafts(const std::vector<SequenceStatePtr>& rows,
                                 stream.begin() + have + take);
             order.push_back(id);
             new_commits.push_back(have + take);
-            draftKv_->reserveWrite(id, have + take, have);
+            draft_->kv->reserveWrite(id, have + take, have);
             total += take;
         }
         if (order.empty()) break;
-        invokeRaggedOn(*draftMachine_, *draftKv_, draftWeights_, order,
-                       chunks);
+        invokeRaggedOn(*draft_, order, chunks);
         ++stats_.draftCalls;
         metrics_.counter("serve.draft_calls").add();
         for (size_t i = 0; i < order.size(); ++i) {
-            draftKv_->commit(order[i], new_commits[i]);
+            draft_->kv->commit(order[i], new_commits[i]);
         }
     }
 
@@ -541,22 +512,21 @@ Engine::proposeDrafts(const std::vector<SequenceStatePtr>& rows,
             const SpecPlan& plan = plans[id];
             int64_t tok = j == 0 ? seq->generated.back()
                                  : plan.drafts.back();
-            draftKv_->reserveWrite(id, seq->ctxLen + j + 1,
-                                   seq->ctxLen + j);
+            draft_->kv->reserveWrite(id, seq->ctxLen + j + 1,
+                                     seq->ctxLen + j);
             order.push_back(id);
             toks.push_back({tok});
             call_rows.push_back(seq);
         }
         if (order.empty()) break;
-        NDArray logits = invokeRaggedOn(*draftMachine_, *draftKv_,
-                                        draftWeights_, order, toks);
+        NDArray logits = invokeRaggedOn(*draft_, order, toks);
         ++stats_.draftCalls;
         metrics_.counter("serve.draft_calls").add();
         for (size_t r = 0; r < order.size(); ++r) {
             SpecPlan& plan = plans[order[r]];
             // One fresh token per row, so row r's logits sit at packed
             // position r (== cu[r + 1] - 1).
-            if (machine_->dataMode()) {
+            if (machine().dataMode()) {
                 plan.drafts.push_back(
                     draftSampler_.samplePacked(logits, (int64_t)r));
                 if (options_.sampler.topK > 1) {
@@ -567,18 +537,18 @@ Engine::proposeDrafts(const std::vector<SequenceStatePtr>& rows,
                 plan.drafts.push_back(
                     draftSampler_.sampleSynthetic(config_.vocabSize));
             }
-            draftKv_->commit(order[r], call_rows[r]->ctxLen + j + 1);
+            draft_->kv->commit(order[r], call_rows[r]->ctxLen + j + 1);
         }
     }
 
-    TraceRecorder& trace = machine_->dev().trace();
+    TraceRecorder& trace = machine().dev().trace();
     if (trace.enabled()) {
         for (const SequenceStatePtr& seq : rows) {
             auto it = plans.find(seq->request.id);
             if (it == plans.end()) continue;
             trace.instant(trace_lanes::kEngine, trace_lanes::kSpeculation,
                           "propose", "speculation",
-                          machine_->dev().clockUs(),
+                          machine().dev().clockUs(),
                           {{"request", seq->request.id},
                            {"tokens", (int64_t)it->second.drafts.size()}});
         }
@@ -589,10 +559,10 @@ bool
 Engine::step()
 {
     if (!hasPendingWork()) return false;
-    double clock_before = machine_->dev().clockUs();
+    double clock_before = machine().dev().clockUs();
 
     std::vector<SequenceStatePtr> admitted =
-        scheduler_.admit(*kv_, (int64_t)running_.size());
+        scheduler_.admit(*target_.kv, (int64_t)running_.size());
     for (const SequenceStatePtr& seq : admitted) {
         seq->admitSeq = nextAdmitSeq_++;
         running_.push_back(seq);
@@ -610,13 +580,13 @@ Engine::step()
     // pages in the same step pay one burst launch, not b.
     std::map<RequestId, int64_t> spec_k;
     std::vector<SequenceStatePtr> members = running_;
-    kv_->beginCowBatch();
+    target_.kv->beginCowBatch();
     for (const SequenceStatePtr& seq : members) {
         bool is_admitted = std::find(admitted.begin(), admitted.end(),
                                      seq) != admitted.end();
         if (is_admitted) {
             ensureWritable(seq, seq->prefillLength(),
-                           kv_->committedTokens(seq->request.id));
+                           target_.kv->committedTokens(seq->request.id));
             continue;
         }
         int64_t k_row = 0;
@@ -631,7 +601,7 @@ Engine::step()
             k_row = std::min(k_row, config_.maxContext - seq->ctxLen - 1);
             k_row = std::max<int64_t>(k_row, 0);
             while (k_row > 0 &&
-                   !kv_->canHoldWrite(seq->request.id,
+                   !target_.kv->canHoldWrite(seq->request.id,
                                       seq->ctxLen + 1 + k_row,
                                       seq->ctxLen)) {
                 --k_row;
@@ -640,7 +610,7 @@ Engine::step()
         ensureWritable(seq, seq->ctxLen + 1 + k_row, seq->ctxLen);
         if (k_row > 0) spec_k[seq->request.id] = k_row;
     }
-    kv_->flushCowBatch();
+    target_.kv->flushCowBatch();
 
     // Draft proposals for the rows that survived the reservation sweep
     // (eviction may have reclaimed some).
@@ -661,6 +631,7 @@ Engine::step()
     // [cu[r], cu[r+1]). A verify row's fresh tokens are its pending
     // token followed by the draft proposals.
     std::vector<SequenceStatePtr> batch;
+    std::vector<RequestId> order;
     std::vector<std::vector<int64_t>> tokens;
     std::vector<bool> is_prefill;
     for (const SequenceStatePtr& seq : running_) {
@@ -669,7 +640,7 @@ Engine::step()
                                       seq) != admitted.end();
         if (admitted_now) {
             std::vector<int64_t> all = seq->prefillTokens();
-            int64_t start = kv_->committedTokens(seq->request.id);
+            int64_t start = target_.kv->committedTokens(seq->request.id);
             tokens.emplace_back(all.begin() + start, all.end());
         } else {
             std::vector<int64_t> fresh{seq->generated.back()};
@@ -681,11 +652,12 @@ Engine::step()
             tokens.push_back(std::move(fresh));
         }
         batch.push_back(seq);
+        order.push_back(seq->request.id);
         is_prefill.push_back(admitted_now);
     }
     if (batch.empty()) return false;
 
-    NDArray logits = invokeRagged(batch, tokens);
+    NDArray logits = invokeRaggedOn(target_, order, tokens);
     ++stats_.decodeBatches; // one packed call per step, by construction
     bool any_prefill =
         std::find(is_prefill.begin(), is_prefill.end(), true) !=
@@ -696,17 +668,17 @@ Engine::step()
         // prefill counters; the steady-state pure-decode counters keep
         // measuring the replay win.
         ++stats_.prefillBatches;
-        stats_.prefillGraphBegins += machine_->lastRunStats().graphBegins;
+        stats_.prefillGraphBegins += machine().lastRunStats().graphBegins;
         stats_.prefillGraphReplays +=
-            machine_->lastRunStats().graphReplays;
+            machine().lastRunStats().graphReplays;
     } else {
-        stats_.decodeGraphBegins += machine_->lastRunStats().graphBegins;
+        stats_.decodeGraphBegins += machine().lastRunStats().graphBegins;
         stats_.decodeGraphReplays +=
-            machine_->lastRunStats().graphReplays;
+            machine().lastRunStats().graphReplays;
     }
 
-    TraceRecorder& trace = machine_->dev().trace();
-    double clock_after = machine_->dev().clockUs();
+    TraceRecorder& trace = machine().dev().trace();
+    double clock_after = machine().dev().clockUs();
     int64_t packed_end = 0;
     for (size_t row = 0; row < batch.size(); ++row) {
         const SequenceStatePtr& seq = batch[row];
@@ -722,12 +694,12 @@ Engine::step()
         }
         if (is_prefill[row]) {
             seq->ctxLen = seq->prefillLength();
-            kv_->commit(id, seq->ctxLen);
+            target_.kv->commit(id, seq->ctxLen);
             seq->stats.prefillTokens += fresh;
             stats_.prefillTokens += fresh;
             // Register the freshly committed page-aligned blocks in the
             // prefix index so later duplicate prompts match them.
-            kv_->registerCommitted(id, seq->prefillTokens());
+            target_.kv->registerCommitted(id, seq->prefillTokens());
             appendToken(seq, sampleFor(logits, packed_end - 1));
             continue;
         }
@@ -736,7 +708,7 @@ Engine::step()
             // Plain decode row (speculation off, or this row's window
             // collapsed to zero).
             seq->ctxLen += 1;
-            kv_->commit(id, seq->ctxLen);
+            target_.kv->commit(id, seq->ctxLen);
             appendToken(seq, sampleFor(logits, packed_end - 1));
             continue;
         }
@@ -754,7 +726,7 @@ Engine::step()
                           {{"request", id}, {"proposed", k_row}});
         }
         SpecAcceptance acc;
-        if (machine_->dataMode()) {
+        if (machine().dataMode()) {
             acc = sampler_.acceptDrafts(logits, packed_start, plan.drafts,
                                         plan.probs);
         } else {
@@ -772,13 +744,13 @@ Engine::step()
              i <= acc.accepted && seq->phase == RequestPhase::kRunning;
              ++i) {
             seq->ctxLen += 1;
-            kv_->commit(id, seq->ctxLen);
+            target_.kv->commit(id, seq->ctxLen);
             appendToken(seq, i < acc.accepted ? plan.drafts[i] : acc.next);
         }
         if (trace.enabled()) {
             trace.instant(trace_lanes::kEngine, trace_lanes::kSpeculation,
                           "accept", "speculation",
-                          machine_->dev().clockUs(),
+                          machine().dev().clockUs(),
                           {{"request", id},
                            {"proposed", k_row},
                            {"accepted", acc.accepted}});
@@ -789,24 +761,24 @@ Engine::step()
             // any index entry the rewind invalidated. The draft cache
             // rewinds to the accepted stream the same way (clamped to a
             // no-op when every draft survived).
-            kv_->truncate(id, seq->ctxLen);
-            draftKv_->truncate(id, seq->ctxLen);
+            target_.kv->truncate(id, seq->ctxLen);
+            draft_->kv->truncate(id, seq->ctxLen);
         }
     }
 
     ++stats_.steps;
-    stats_.busyUs += machine_->dev().clockUs() - clock_before;
-    stats_.peakKvBytes = std::max(stats_.peakKvBytes, kv_->peakBytes());
+    stats_.busyUs += machine().dev().clockUs() - clock_before;
+    stats_.peakKvBytes = std::max(stats_.peakKvBytes, target_.kv->peakBytes());
 
     // Per-step registry sampling (always on: the counters feed the fuzz
     // oracle's cross-checks, the gauges the BENCH_serve.json snapshot).
     metrics_.counter("serve.steps").add();
     metrics_.counter("serve.decode_calls").add();
-    metrics_.gauge("kv.used_pages").sample((double)kv_->usedPages());
-    metrics_.gauge("kv.free_pages").sample((double)kv_->freePages());
+    metrics_.gauge("kv.used_pages").sample((double)target_.kv->usedPages());
+    metrics_.gauge("kv.free_pages").sample((double)target_.kv->freePages());
     metrics_.gauge("kv.occupancy")
-        .sample(kv_->totalPages() > 0 ? (double)kv_->usedPages() /
-                                            (double)kv_->totalPages()
+        .sample(target_.kv->totalPages() > 0 ? (double)target_.kv->usedPages() /
+                                            (double)target_.kv->totalPages()
                                       : 0.0);
     metrics_.gauge("serve.running").sample((double)running_.size());
     metrics_.gauge("serve.decode_replay_hit_rate")
@@ -814,8 +786,7 @@ Engine::step()
     // Per-device memory gauges, one lane per shard (device 0 alone on
     // single-device engines, matching the trace pid layout).
     for (int i = 0; i < tensorParallel(); ++i) {
-        device::SimDevice& dev =
-            group_ ? group_->device(i) : machine_->dev();
+        device::SimDevice& dev = target_.group->device(i);
         std::string prefix = "device." + std::to_string(i) + ".";
         metrics_.gauge(prefix + "alloc_bytes")
             .sample((double)dev.allocatedBytes());
@@ -836,8 +807,8 @@ Engine::step()
                     {"mixed", (int64_t)(any_prefill ? 1 : 0)}});
         trace.counter(trace_lanes::kEngine, trace_lanes::kKvPool,
                       "kv_pages", clock_after,
-                      {{"used", kv_->usedPages()},
-                       {"free", kv_->freePages()}});
+                      {{"used", target_.kv->usedPages()},
+                       {"free", target_.kv->freePages()}});
     }
     return true;
 }
@@ -850,7 +821,7 @@ Engine::run()
             RELAX_THROW(RuntimeError)
                 << "serving stalled: " << scheduler_.waitingCount()
                 << " waiting request(s) cannot fit the KV budget ("
-                << kv_->budgetBytes() << " bytes)";
+                << target_.kv->budgetBytes() << " bytes)";
         }
     }
     return stats_;

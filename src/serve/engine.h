@@ -57,6 +57,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "device/interconnect.h"
@@ -116,15 +117,15 @@ struct EngineOptions
     /** Cache positions per KV page (pool block size). */
     int64_t kvBlockTokens = 16;
     /**
-     * Tensor-parallel shard count. 1 (the default) is the single-device
-     * engine, byte-identical to before the option existed. N > 1 makes
-     * Engine::build compile `decode_ragged` through ShardPass, stand up
-     * an N-device DeviceGroup joined by `interconnect`, shard the
-     * weights and KV pools Megatron-style and run every step's packed
-     * call in instruction lockstep with priced ring collectives (two
-     * all-reduces per layer plus a logits all-gather). Scheduling state
-     * — KV budget, admission, eviction — stays in logical full-model
-     * units, so the emitted token streams are identical to tp=1 and
+     * Tensor-parallel shard count: Engine::build stands up an N-device
+     * DeviceGroup joined by `interconnect` (1, the default, is a
+     * one-device group that prices nothing). N > 1 compiles
+     * `decode_ragged` through ShardPass, shards the weights and KV pools
+     * Megatron-style and runs every step's packed call in instruction
+     * lockstep with priced ring collectives (two all-reduces per layer
+     * plus a logits all-gather). Scheduling state — KV budget,
+     * admission, eviction — stays in logical full-model units, so the
+     * emitted token streams are identical to tp=1 and
      * `decodeBatches == steps` still holds. DESIGN.md §10.
      */
     int64_t tensorParallel = 1;
@@ -207,8 +208,8 @@ class Engine
 {
   public:
     /**
-     * @param exec      compiled executable with `prefill`, `decode` and
-     *                  the pool-addressed `decode_ragged`
+     * @param exec      compiled executable with the pool-addressed
+     *                  `decode_ragged` (other functions are ignored)
      * @param dev       simulated device the VM runs on
      * @param data_mode true: real tensors + logits sampling; false:
      *                  metadata-only timing mode
@@ -217,10 +218,11 @@ class Engine
      *                  (data or metadata matching `data_mode`); under
      *                  tensor parallelism the engine slices them into
      *                  per-shard sets itself
-     * @param group     tensor-parallel device group; null (default) is
-     *                  the single-device engine. When set, `exec` must
-     *                  be a ShardPass build for group->size() shards and
-     *                  `dev` must be the group's device 0.
+     * @param group     device group the model runs on; null (default)
+     *                  wraps `dev` in a one-device group. Otherwise
+     *                  `dev` must be the group's device 0, and for
+     *                  N > 1 devices `exec` must be a ShardPass build
+     *                  for N shards.
      */
     Engine(vm::ExecutablePtr exec, std::shared_ptr<device::SimDevice> dev,
            bool data_mode, frontend::LlamaConfig config,
@@ -228,8 +230,9 @@ class Engine
            std::shared_ptr<device::DeviceGroup> group = nullptr);
 
     /**
-     * Compiles `config` for `options.device` and builds a ready engine.
-     * When `compile_options.graphBucketTokens` is 0 (auto), the capture
+     * Compiles `config`'s `decode_ragged` (the one function the engine
+     * calls) for `options.device` and builds a ready engine. When
+     * `compile_options.graphBucketTokens` is 0 (auto), the capture
      * bucket is set to `options.kvBlockTokens` so execution-graph buckets
      * and KV pages share one boundary. When
      * `options.speculation.draftTokens` > 0 the draft model is compiled
@@ -255,7 +258,7 @@ class Engine
                            std::vector<NDArray> draft_weights);
 
     /** True once a draft model is attached and draftTokens > 0. */
-    bool speculationEnabled() const { return draftMachine_ != nullptr; }
+    bool speculationEnabled() const { return draft_.has_value(); }
 
     /**
      * Queues a generation request; returns its id. Prompts longer than
@@ -325,19 +328,48 @@ class Engine
     const MetricsRegistry& metrics() const { return metrics_; }
     MetricsRegistry& metrics() { return metrics_; }
 
-    KVCacheManager& kv() { return *kv_; }
+    KVCacheManager& kv() { return *target_.kv; }
     /** The draft model's KV pool (null until enableSpeculation()). */
-    KVCacheManager* draftKv() { return draftKv_.get(); }
-    vm::VirtualMachine& machine() { return *machine_; }
+    KVCacheManager* draftKv() { return draft_ ? draft_->kv.get() : nullptr; }
+    /** The target model's rank-0 VM. */
+    vm::VirtualMachine& machine() { return *target_.ranks[0]; }
     /** The draft model's VM (null until enableSpeculation()). */
-    vm::VirtualMachine* draftMachine() { return draftMachine_.get(); }
+    vm::VirtualMachine*
+    draftMachine()
+    {
+        return draft_ ? draft_->ranks[0] : nullptr;
+    }
     const frontend::LlamaConfig& config() const { return config_; }
-    /** The tensor-parallel device group (null for tp=1 engines). */
-    device::DeviceGroup* deviceGroup() { return group_.get(); }
+    /** The target's device group: never null; one device at tp = 1. */
+    device::DeviceGroup* deviceGroup() { return target_.group.get(); }
     /** Tensor-parallel shard count (1 for single-device engines). */
-    int tensorParallel() const { return group_ ? group_->size() : 1; }
+    int tensorParallel() const { return target_.group->size(); }
 
   private:
+    /**
+     * One model on a DeviceGroup: rank r runs `ranks[r]` on the group's
+     * device r with `weights[r]` and its slice of `kv`'s pool. The target
+     * at tp = 1, the target at tp = N and the draft model are all
+     * runners; a one-device group never meets a collective.
+     */
+    struct ModelRunner
+    {
+        std::shared_ptr<device::DeviceGroup> group;
+        std::vector<std::unique_ptr<vm::VirtualMachine>> machines;
+        std::vector<vm::VirtualMachine*> ranks; //!< machines, unowned
+        std::vector<std::vector<NDArray>> weights;
+        std::unique_ptr<KVCacheManager> kv;
+    };
+
+    /** A runner for `exec` on every device of `group`, with `weights`
+     *  sliced per rank and a `kv_budget`-byte pool. */
+    ModelRunner makeRunner(vm::ExecutablePtr exec,
+                           std::shared_ptr<device::DeviceGroup> group,
+                           bool data_mode,
+                           const frontend::LlamaConfig& config,
+                           const std::vector<NDArray>& weights,
+                           int64_t kv_budget);
+
     /** Per-row speculation state for one step: the proposed draft tokens
      *  and (top-k sampling only) the draft distribution each was drawn
      *  from, for the rejection-sampling acceptance ratio. */
@@ -348,18 +380,14 @@ class Engine
     };
 
     /**
-     * Issues the step's single packed `decode_ragged` call over `batch`:
-     * ids [1, total] is the concatenation of the per-row `tokens`,
-     * cu_fresh [b+1] their cumulative offsets, lens/table views from the
-     * KV manager, pools and weights appended. Returns the packed logits
+     * One packed `decode_ragged` call on `model` (the target's one call
+     * per step, or a draft call) over the rows `order`: ids [1, total]
+     * is the concatenation of the per-row `tokens`, cu_fresh [b+1] their
+     * cumulative offsets, lens/table views from the runner's KV pool,
+     * then each rank's pools and weights. Returns the packed logits
      * [1, total, vocab].
      */
-    NDArray invokeRagged(const std::vector<SequenceStatePtr>& batch,
-                         const std::vector<std::vector<int64_t>>& tokens);
-    /** The packed-varlen call on an arbitrary (VM, KV pool, weights)
-     *  triple — the target and the draft share this marshalling. */
-    NDArray invokeRaggedOn(vm::VirtualMachine& vm, KVCacheManager& kv,
-                           const std::vector<NDArray>& weights,
+    NDArray invokeRaggedOn(ModelRunner& model,
                            const std::vector<RequestId>& order,
                            const std::vector<std::vector<int64_t>>& tokens);
     /**
@@ -389,23 +417,13 @@ class Engine
 
     frontend::LlamaConfig config_;
     EngineOptions options_;
-    std::unique_ptr<vm::VirtualMachine> machine_;
-    // Tensor parallelism: the device group, the shard VMs for ranks
-    // 1..N-1 (rank 0 is machine_; all share one executable) and the
-    // per-rank weight sets sliced from the full weights.
-    std::shared_ptr<device::DeviceGroup> group_;
-    std::vector<std::unique_ptr<vm::VirtualMachine>> shardMachines_;
-    std::vector<std::vector<NDArray>> shardWeights_;
-    std::unique_ptr<KVCacheManager> kv_;
+    ModelRunner target_;
     Scheduler scheduler_;
     Sampler sampler_;
-    std::vector<NDArray> weights_;
-    // Speculative decoding: the draft model's VM (same device, own
-    // graph keyspace), weights, KV pool and sampler (a separate rng so
-    // draft sampling never perturbs the target's stream).
-    std::unique_ptr<vm::VirtualMachine> draftMachine_;
-    std::unique_ptr<KVCacheManager> draftKv_;
-    std::vector<NDArray> draftWeights_;
+    // Speculative decoding: the draft model (a one-device runner on the
+    // target's device 0, own graph keyspace) and its sampler (a separate
+    // rng so draft sampling never perturbs the target's stream).
+    std::optional<ModelRunner> draft_;
     Sampler draftSampler_;
     std::vector<SequenceStatePtr> running_;
     std::vector<SequenceStatePtr> finished_;

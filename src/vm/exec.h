@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "ir/module.h"
+#include "tir/analysis.h"
 
 namespace relax {
 namespace vm {
@@ -101,6 +102,14 @@ struct VMFunction
     std::vector<Instr> instrs;
 };
 
+/** Symbolic roofline cost of one generated kernel (timing mode). */
+struct KernelCostExprs
+{
+    PrimExpr flops;
+    PrimExpr bytes;
+    tir::PatternKind kind;
+};
+
 /** A compiled module: functions plus the tensor programs they launch. */
 class Executable
 {
@@ -108,6 +117,12 @@ class Executable
     std::map<std::string, VMFunction> functions;
     /** Kernel bodies (interpreted as the stand-in for GPU codegen). */
     ir::IRModulePtr module;
+    /**
+     * Cost expressions of `module`'s kernels, derived by the VM on first
+     * launch. Keyed by node: `module` owns every key, so the cache lives
+     * and dies with the kernels it describes.
+     */
+    std::map<const tir::PrimFuncNode*, KernelCostExprs> kernelCosts;
 };
 
 using ExecutablePtr = std::shared_ptr<Executable>;

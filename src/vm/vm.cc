@@ -150,15 +150,6 @@ asTensorValue(Value& value, const char* what)
     return *array;
 }
 
-/** Cached per-kernel cost expressions. */
-struct KernelCostExprs
-{
-    PrimExpr flops;
-    PrimExpr bytes;
-    tir::PatternKind kind;
-    tir::PrimFunc pin; //!< keeps the node alive so addresses never recycle
-};
-
 /**
  * Stand-in for `array` at the padded shape: metadata-only normally, but
  * integer host tensors (e.g. the ragged length vector — the only data
@@ -188,12 +179,11 @@ padForPricing(const NDArray& array, std::vector<int64_t> padded_shape)
 }
 
 const KernelCostExprs&
-costExprsOf(const tir::PrimFunc& func)
+costExprsOf(Executable& exec, const tir::PrimFunc& func)
 {
-    static std::map<const tir::PrimFuncNode*, KernelCostExprs> cache;
-    auto [it, inserted] = cache.emplace(func.get(), KernelCostExprs{});
+    auto [it, inserted] =
+        exec.kernelCosts.emplace(func.get(), KernelCostExprs{});
     if (inserted) {
-        it->second.pin = func;
         tir::TensorProgramCost cost = tir::analyzeCost(func);
         it->second.flops = cost.flops;
         it->second.bytes = cost.bytes;
@@ -299,8 +289,8 @@ findFunction(const ExecutablePtr& exec, const std::string& name,
     return it->second;
 }
 
-/** Frame teardown shared by invoke() and invokeLockstep(): returns pool
- *  allocations, computes the RunStats deltas and emits the frame span. */
+/** Frame teardown: returns pool allocations, computes the RunStats
+ *  deltas and emits the frame span. */
 void
 finishFrame(Frame& frame, const std::string& name,
             const CounterSnapshot& snap, device::SimDevice& device,
@@ -333,12 +323,12 @@ finishFrame(Frame& frame, const std::string& name,
 /**
  * The lockstep collective rendezvous. Every shard has reached the same
  * `ccl.*` call site with its DPS out tensor allocated; the group prices
- * ONE ring collective (a barrier plus transfer time on every member) in
- * place of the per-shard fallback kernels. In data mode the driver then
- * materializes the semantics across the shards: all_reduce left-folds
- * the partial sums in rank order (deterministic reassociation) and
- * writes the total to every shard; all_gather concatenates the
- * shard-local chunks along the last dim into every shard's out.
+ * ONE ring collective (a barrier plus transfer time on every member). In
+ * data mode the driver then materializes the semantics across the
+ * shards: all_reduce left-folds the partial sums in rank order
+ * (deterministic reassociation) and writes the total to every shard;
+ * all_gather concatenates the shard-local chunks along the last dim
+ * into every shard's out.
  */
 void
 lockstepCollective(const Instr& instr, device::DeviceGroup& group,
@@ -420,22 +410,9 @@ Value
 VirtualMachine::invoke(const std::string& name,
                        const std::vector<Value>& args)
 {
-    const VMFunction& func = findFunction(exec_, name, args.size());
-    Executor executor{exec_,      device_,   dataMode_,
-                      staticStorages_, freePool_, graphKeyspace_};
-
-    CounterSnapshot snap = snapshotCounters(*device_);
-    Frame frame;
-    frame.regs.resize(func.numRegs);
-    for (size_t i = 0; i < args.size(); ++i) frame.regs[i] = args[i];
-
-    for (const Instr& instr : func.instrs) {
-        executor.step(instr, frame, name);
-    }
-
-    finishFrame(frame, name, snap, *device_, freePool_, lastStats_,
-                graphStats_);
-    return executor.result_;
+    VirtualMachine* self = this;
+    const std::vector<Value>* self_args = &args;
+    return std::move(run(&self, &self_args, 1, nullptr, name)[0]);
 }
 
 std::vector<Value>
@@ -448,15 +425,21 @@ VirtualMachine::invokeLockstep(const std::vector<VirtualMachine*>& shards,
         << "lockstep: one argument list per shard";
     RELAX_ICHECK((int)shards.size() == group.size())
         << "lockstep: shard count must match the device group";
-    const ExecutablePtr& exec = shards[0]->exec_;
-    for (VirtualMachine* shard : shards) {
-        RELAX_ICHECK(shard->exec_ == exec)
-            << "lockstep shards must share one executable";
-    }
-    const VMFunction& func = findFunction(exec, name, args[0].size());
-    bool data_mode = shards[0]->dataMode_;
+    std::vector<const std::vector<Value>*> arg_lists;
+    arg_lists.reserve(args.size());
+    for (const auto& list : args) arg_lists.push_back(&list);
+    return run(shards.data(), arg_lists.data(), shards.size(), &group,
+               name);
+}
 
-    size_t n = shards.size();
+std::vector<Value>
+VirtualMachine::run(VirtualMachine* const* shards,
+                    const std::vector<Value>* const* args, size_t n,
+                    device::DeviceGroup* group, const std::string& name)
+{
+    const ExecutablePtr& exec = shards[0]->exec_;
+    const VMFunction& func = findFunction(exec, name, args[0]->size());
+
     std::vector<Executor> executors;
     executors.reserve(n);
     std::vector<Frame> frames(n);
@@ -464,27 +447,32 @@ VirtualMachine::invokeLockstep(const std::vector<VirtualMachine*>& shards,
     snaps.reserve(n);
     for (size_t s = 0; s < n; ++s) {
         VirtualMachine& shard = *shards[s];
+        RELAX_ICHECK(shard.exec_ == exec)
+            << "lockstep shards must share one executable";
+        if (s > 0) findFunction(exec, name, args[s]->size()); // arity
         executors.push_back(Executor{shard.exec_, shard.device_,
                                      shard.dataMode_,
                                      shard.staticStorages_,
                                      shard.freePool_,
                                      shard.graphKeyspace_});
-        findFunction(exec, name, args[s].size()); // arity per shard
         frames[s].regs.resize(func.numRegs);
-        for (size_t i = 0; i < args[s].size(); ++i) {
-            frames[s].regs[i] = args[s][i];
-        }
+        std::copy(args[s]->begin(), args[s]->end(), frames[s].regs.begin());
         snaps.push_back(snapshotCounters(*shard.device_));
     }
 
     // Instruction-outer, shard-inner: every shard executes instruction k
     // before any shard executes k+1, so all shards reach each `ccl.*`
-    // site together — the rendezvous replaces the per-shard fallback
-    // kernel with one priced group collective.
+    // site together and the group prices it as one collective.
     for (const Instr& instr : func.instrs) {
         if (instr.op == Instr::Op::kKernelCall && instr.isLibrary &&
-            instr.callee.rfind("ccl.", 0) == 0) {
-            lockstepCollective(instr, group, frames, data_mode);
+            instr.callee.compare(0, 4, "ccl.") == 0) {
+            if (!group) {
+                RELAX_THROW(RuntimeError)
+                    << name << ": collective '" << instr.callee
+                    << "' needs a device group; run tensor-parallel "
+                       "executables through invokeLockstep";
+            }
+            lockstepCollective(instr, *group, frames, shards[0]->dataMode_);
             continue;
         }
         for (size_t s = 0; s < n; ++s) {
@@ -498,7 +486,7 @@ VirtualMachine::invokeLockstep(const std::vector<VirtualMachine*>& shards,
         VirtualMachine& shard = *shards[s];
         finishFrame(frames[s], name, snaps[s], *shard.device_,
                     shard.freePool_, shard.lastStats_, shard.graphStats_);
-        results.push_back(executors[s].result_);
+        results.push_back(std::move(executors[s].result_));
     }
     return results;
 }
@@ -780,7 +768,7 @@ Executor::execKernelCall(const Instr& instr, Frame& frame)
         }
         priced = &padded_binding;
     }
-    const KernelCostExprs& cost = costExprsOf(func);
+    const KernelCostExprs& cost = costExprsOf(*exec, func);
     device::KernelCost kernel_cost;
     kernel_cost.flops = (double)evalInt(cost.flops, *priced);
     kernel_cost.bytes = (double)evalInt(cost.bytes, *priced);

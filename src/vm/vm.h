@@ -126,7 +126,12 @@ class VirtualMachine
         ensureLibrariesRegistered();
     }
 
-    /** Invokes a compiled function. */
+    /**
+     * Invokes a compiled function: the one-shard case of
+     * invokeLockstep(). A `ccl.*` collective site has no group to
+     * rendezvous with here, so it throws RuntimeError naming the
+     * collective.
+     */
     Value invoke(const std::string& name, const std::vector<Value>& args);
 
     /**
@@ -134,15 +139,14 @@ class VirtualMachine
      * lockstep — the tensor-parallel execution mode. All shards must
      * share one executable (ShardPass emits a single per-shard program);
      * shard s runs on its own device with its own argument list, and
-     * every `ccl.*` library call becomes a rendezvous: instead of the
-     * single-VM fallback kernel, the group prices one ring collective
-     * (barrier + transfer on every member) and, in data mode, the
-     * driver materializes the collective's semantics across the shards
-     * (rank-order left-fold sum for all_reduce, last-dim concat for
-     * all_gather) so results are deterministic. Collectives do not
-     * count as kernel launches and are graph-capture-insensitive.
-     * Returns shard s's result in slot s; per-shard RunStats are
-     * updated exactly as for invoke().
+     * every `ccl.*` library call becomes a rendezvous: the group prices
+     * one ring collective (barrier + transfer on every member) and, in
+     * data mode, the driver materializes the collective's semantics
+     * across the shards (rank-order left-fold sum for all_reduce,
+     * last-dim concat for all_gather) so results are deterministic.
+     * Collectives do not count as kernel launches and are
+     * graph-capture-insensitive. Returns shard s's result in slot s;
+     * per-shard RunStats are updated exactly as for invoke().
      */
     static std::vector<Value>
     invokeLockstep(const std::vector<VirtualMachine*>& shards,
@@ -188,6 +192,13 @@ class VirtualMachine
     const std::string& graphKeyspace() const { return graphKeyspace_; }
 
   private:
+    /** The instruction loop behind invoke() (n = 1, no group) and
+     *  invokeLockstep(). */
+    static std::vector<Value> run(VirtualMachine* const* shards,
+                                  const std::vector<Value>* const* args,
+                                  size_t n, device::DeviceGroup* group,
+                                  const std::string& name);
+
     ExecutablePtr exec_;
     std::shared_ptr<device::SimDevice> device_;
     bool dataMode_;

@@ -9,8 +9,10 @@
 
 #include <map>
 
+#include "frontend/compile.h"
 #include "frontend/llama.h"
 #include "passes/passes.h"
+#include "vm/vm.h"
 
 namespace relax {
 namespace passes {
@@ -188,6 +190,17 @@ TEST(ShardWeightsTest, SlicesMatchTheMegatronLayout)
         EXPECT_FALSE(meta0[i].hasData());
     }
 
+    // One shard holds the full weights as given — quantized ones too.
+    std::vector<NDArray> whole =
+        frontend::shardLlamaWeights(config, full, 0, 1);
+    ASSERT_EQ(whole.size(), full.size());
+    EXPECT_EQ(&whole[0].data(), &full[0].data());
+    LlamaConfig q4 = config.withQuant(frontend::Quant::kQ4);
+    std::vector<NDArray> q4_full =
+        frontend::makeLlamaWeights(q4, /*with_data=*/false);
+    EXPECT_EQ(frontend::shardLlamaWeights(q4, q4_full, 0, 1).size(),
+              q4_full.size());
+
     // Odd shard counts that do not divide the model throw.
     try {
         frontend::shardLlamaWeights(config, full, 0, 3);
@@ -195,6 +208,45 @@ TEST(ShardWeightsTest, SlicesMatchTheMegatronLayout)
     } catch (const RuntimeError& e) {
         EXPECT_NE(std::string(e.what()).find("not divisible"),
                   std::string::npos);
+    }
+}
+
+TEST(ShardPassTest, SingleVmInvokeRejectsCollectives)
+{
+    // A sharded executable's collectives rendezvous across a device
+    // group; a lone VM has no group to meet, so invoke() must refuse the
+    // first ccl.* site by name rather than run it as a local no-op.
+    LlamaConfig config = LlamaConfig::tiny();
+    frontend::CompileOptions options;
+    options.device.name = "host";
+    options.device.backend = "cpu";
+    options.tensorParallel = 2;
+    vm::ExecutablePtr exec =
+        frontend::compile(frontend::buildLlama(config), options);
+
+    std::vector<vm::Value> args;
+    args.emplace_back(NDArray::metaOnly({1, 1}, DataType::i64()));
+    args.emplace_back(NDArray::fromVector({1}, DataType::i64(), {0}));
+    args.emplace_back(NDArray::fromVector({2}, DataType::i64(), {0, 1}));
+    args.emplace_back(NDArray::fromVector({1, 1}, DataType::i64(), {0}));
+    for (int64_t i = 0; i < 2 * config.numLayers; ++i) {
+        args.emplace_back(NDArray::metaOnly(
+            {4, config.numHeads / 2, 16, config.headDim}, DataType::f16()));
+    }
+    for (const NDArray& w : frontend::shardLlamaWeights(
+             config, frontend::makeLlamaWeights(config, false), 0, 2)) {
+        args.emplace_back(w);
+    }
+    vm::VirtualMachine machine(
+        exec, std::make_shared<device::SimDevice>(options.device),
+        /*data_mode=*/false);
+    try {
+        machine.invoke("decode_ragged", args);
+        FAIL() << "expected RuntimeError";
+    } catch (const RuntimeError& e) {
+        EXPECT_NE(std::string(e.what()).find("'ccl.all_reduce'"),
+                  std::string::npos)
+            << e.what();
     }
 }
 

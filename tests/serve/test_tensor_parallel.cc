@@ -10,6 +10,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <tuple>
+
 #include "serve/engine.h"
 
 namespace relax {
@@ -102,6 +105,74 @@ TEST(TensorParallelTest, ShardedTokensMatchSingleDevice)
         EXPECT_GT(engine->deviceGroup()->collectiveUs(), 0.0);
         EXPECT_GT(engine->deviceGroup()->collectiveBytes(), 0);
     }
+}
+
+TEST(TensorParallelTest, OneDeviceGroupIsTheDefaultEngine)
+{
+    // tp = 1 is a one-device group: an engine handed an explicit group
+    // over its device must run exactly like one given no group (which
+    // wraps its device in that group itself) — same tokens, same stats,
+    // same metrics snapshot — with graph replay and a draft model on.
+    LlamaConfig config = LlamaConfig::tiny();
+    frontend::CompileOptions copts = hostOptions();
+    copts.device.supportsExecutionGraphs = true;
+    copts.bounds = {{"b", 8}, {"n", 32}, {"m", 48}};
+    auto exec = frontend::compile(frontend::buildLlama(config), copts);
+    auto weights = frontend::makeLlamaWeights(config, /*with_data=*/true);
+    auto draft_weights =
+        frontend::makeLlamaWeights(config, /*with_data=*/true, 11);
+
+    struct Run
+    {
+        std::vector<std::vector<int64_t>> tokens;
+        EngineStats stats;
+        std::string metrics;
+    };
+    auto run = [&](bool explicit_group) {
+        auto dev = std::make_shared<device::SimDevice>(copts.device);
+        std::shared_ptr<device::DeviceGroup> group;
+        if (explicit_group) {
+            group = std::make_shared<device::DeviceGroup>(dev);
+        }
+        EngineOptions options;
+        options.kvBlockTokens = 4;
+        options.speculation.draftTokens = 2;
+        options.speculation.draftConfig = config;
+        Engine engine(exec, dev, /*data_mode=*/true, config, weights,
+                      options, group);
+        engine.enableSpeculation(exec, draft_weights);
+        EXPECT_EQ(engine.tensorParallel(), 1);
+        EXPECT_EQ(engine.deviceGroup()->devicePtr(0), dev);
+        for (const auto& prompt : std::vector<std::vector<int64_t>>{
+                 {3, 1, 4, 1, 5, 9, 2}, {2, 7}, {6, 1, 8, 3, 1}}) {
+            engine.addRequest(prompt, 6);
+        }
+        Run out;
+        out.stats = engine.run();
+        for (const FinishedRequest& done : engine.collect()) {
+            out.tokens.push_back(done.outputTokens);
+        }
+        std::ostringstream json;
+        engine.metrics().snapshotJson(json);
+        out.metrics = json.str();
+        return out;
+    };
+    auto fields = [](const EngineStats& s) {
+        return std::tie(s.steps, s.prefillBatches, s.decodeBatches,
+                        s.prefillTokens, s.tokensGenerated,
+                        s.requestsFinished, s.evictions, s.busyUs,
+                        s.peakKvBytes, s.ttftSumUs, s.relayoutBytes,
+                        s.decodeGraphBegins, s.decodeGraphReplays,
+                        s.prefillGraphBegins, s.prefillGraphReplays,
+                        s.draftCalls, s.specProposed, s.specAccepted);
+    };
+    Run wrapped = run(false);
+    Run given = run(true);
+    EXPECT_EQ(given.tokens, wrapped.tokens);
+    EXPECT_TRUE(fields(given.stats) == fields(wrapped.stats));
+    EXPECT_EQ(given.metrics, wrapped.metrics);
+    EXPECT_GT(wrapped.stats.specProposed, 0);
+    EXPECT_GT(wrapped.stats.decodeGraphReplays, 0);
 }
 
 TEST(TensorParallelTest, PerDeviceGaugesCoverEveryShard)

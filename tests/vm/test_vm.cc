@@ -9,6 +9,7 @@
 #include <cmath>
 
 #include "frontend/compile.h"
+#include "frontend/llama.h"
 #include "op/ops.h"
 #include "shape/block_builder.h"
 #include "vm/vm.h"
@@ -291,6 +292,43 @@ TEST(VMTest, DisassemblyIsReadable)
     EXPECT_NE(text.find("kernel_call"), std::string::npos);
     EXPECT_NE(text.find("match_shape"), std::string::npos);
     EXPECT_NE(text.find("alloc_storage"), std::string::npos);
+}
+
+TEST(VMTest, KernelsDieWithTheirExecutable)
+{
+    // Timing-mode pricing caches each generated kernel's cost
+    // expressions. That cache belongs to the executable: once the VM and
+    // the executable are gone, nothing may keep the kernels alive.
+    frontend::LlamaConfig config = frontend::LlamaConfig::tiny();
+    std::weak_ptr<tir::PrimFuncNode> kernel;
+    {
+        frontend::CompileOptions options;
+        options.device = hostDevice()->spec();
+        ExecutablePtr exec =
+            frontend::compile(frontend::buildLlama(config), options);
+        for (const Instr& instr : exec->functions.at("decode").instrs) {
+            if (instr.op == Instr::Op::kKernelCall && !instr.isLibrary) {
+                kernel = exec->module->getTIRFunc(instr.callee);
+                break;
+            }
+        }
+        ASSERT_FALSE(kernel.expired()) << "decode launches no kernel";
+
+        std::vector<Value> args;
+        args.emplace_back(NDArray::metaOnly({1, 1}, DataType::i64()));
+        for (int64_t i = 0; i < 2 * config.numLayers; ++i) {
+            args.emplace_back(NDArray::metaOnly(
+                {1, config.numHeads, 8, config.headDim}, DataType::f16()));
+        }
+        for (auto& w :
+             frontend::makeLlamaWeights(config, /*with_data=*/false)) {
+            args.emplace_back(std::move(w));
+        }
+        VirtualMachine machine(exec, hostDevice(), /*data_mode=*/false);
+        machine.invoke("decode", args);
+        EXPECT_GT(machine.lastRunStats().kernelLaunches, 0);
+    }
+    EXPECT_TRUE(kernel.expired());
 }
 
 } // namespace
