@@ -67,6 +67,26 @@ draftPoolBytes(const SpeculationOptions& spec, const EngineOptions& opts)
            opts.scheduler.maxBatchSize;
 }
 
+/** Each integer EngineStats field and the registry counter that is its
+ *  only store. */
+const std::pair<int64_t EngineStats::*, const char*> kStatCounters[] = {
+    {&EngineStats::steps, "serve.steps"},
+    {&EngineStats::prefillBatches, "serve.prefill_steps"},
+    {&EngineStats::decodeBatches, "serve.decode_calls"},
+    {&EngineStats::prefillTokens, "serve.prefill_tokens"},
+    {&EngineStats::tokensGenerated, "serve.tokens_generated"},
+    {&EngineStats::requestsFinished, "serve.requests_finished"},
+    {&EngineStats::evictions, "serve.evictions"},
+    {&EngineStats::relayoutBytes, "serve.relayout_bytes"},
+    {&EngineStats::decodeGraphBegins, "serve.decode_graph_begins"},
+    {&EngineStats::decodeGraphReplays, "serve.decode_graph_replays"},
+    {&EngineStats::prefillGraphBegins, "serve.prefill_graph_begins"},
+    {&EngineStats::prefillGraphReplays, "serve.prefill_graph_replays"},
+    {&EngineStats::draftCalls, "serve.draft_calls"},
+    {&EngineStats::specProposed, "serve.spec_proposed_tokens"},
+    {&EngineStats::specAccepted, "serve.spec_accepted_tokens"},
+};
+
 /** buildLlama(config) without the dense `prefill`/`decode` the engine
  *  never calls. */
 ir::IRModulePtr
@@ -94,6 +114,24 @@ Engine::Engine(vm::ExecutablePtr exec,
             << "engine must run on its device group's device 0";
     } else {
         group = std::make_shared<device::DeviceGroup>(std::move(dev));
+    }
+    // Register every engine metric up front: a snapshot's names never
+    // depend on what the run did.
+    for (const auto& [field, name] : kStatCounters) metrics_.counter(name);
+    metrics_.counter("serve.requests_submitted");
+    for (const char* name : {"serve.ttft_us", "serve.itl_us", "serve.step_us",
+                             "serve.spec_accepted"}) {
+        metrics_.histogram(name);
+    }
+    for (const char* name : {"serve.running", "serve.decode_replay_hit_rate",
+                             "serve.spec_acceptance_rate", "kv.used_pages",
+                             "kv.free_pages", "kv.occupancy"}) {
+        metrics_.gauge(name);
+    }
+    for (int i = 0; i < group->size(); ++i) {
+        std::string prefix = "device." + std::to_string(i) + ".";
+        metrics_.gauge(prefix + "alloc_bytes");
+        metrics_.gauge(prefix + "peak_bytes");
     }
     // Memory-plan observability: the compiler's plan for the served
     // function is static, so its footprint is sampled once here (the
@@ -144,7 +182,7 @@ Engine::Engine(vm::ExecutablePtr exec,
     // per shard internally, so admission decisions (and therefore the
     // token streams) are identical at every tensorParallel.
     target_ = makeRunner(std::move(exec), std::move(group), data_mode,
-                         config_, weights, budget);
+                         config_, weights, budget, "kv.");
     // One observability spine: the scheduler stamps lifecycle instants
     // with the device clock + TraceRecorder.
     scheduler_.attachDevice(&machine().dev());
@@ -154,7 +192,8 @@ Engine::ModelRunner
 Engine::makeRunner(vm::ExecutablePtr exec,
                    std::shared_ptr<device::DeviceGroup> group,
                    bool data_mode, const frontend::LlamaConfig& config,
-                   const std::vector<NDArray>& weights, int64_t kv_budget)
+                   const std::vector<NDArray>& weights, int64_t kv_budget,
+                   const std::string& kv_prefix)
 {
     // Rank r gets its own VM on the group's device r, all sharing ONE
     // executable (the ShardPass split is uniform, so one compiled
@@ -162,20 +201,18 @@ Engine::makeRunner(vm::ExecutablePtr exec,
     // full weights; replicated tensors share storage by handle.
     ModelRunner runner;
     int n = group->size();
+    runner.ranks.reserve((size_t)n);
+    std::vector<vm::VirtualMachine*> shards;
     for (int r = 0; r < n; ++r) {
-        runner.machines.push_back(std::make_unique<vm::VirtualMachine>(
-            exec, group->devicePtr(r), data_mode));
-        runner.ranks.push_back(runner.machines.back().get());
+        runner.ranks.emplace_back(exec, group->devicePtr(r), data_mode);
+        shards.push_back(&runner.ranks.back());
         runner.weights.push_back(
             frontend::shardLlamaWeights(config, weights, r, n));
     }
     runner.group = std::move(group);
     runner.kv = std::make_unique<KVCacheManager>(
-        config, *runner.ranks[0], kv_budget, options_.kvBlockTokens,
-        runner.ranks);
-    // The KV manager mirrors its event tallies into the engine's
-    // registry.
-    runner.kv->setMetrics(&metrics_);
+        config, std::move(shards), kv_budget, options_.kvBlockTokens,
+        metrics_, kv_prefix);
     return runner;
 }
 
@@ -245,11 +282,11 @@ Engine::enableSpeculation(vm::ExecutablePtr draft_exec,
         std::move(draft_exec),
         std::make_shared<device::DeviceGroup>(machine().devPtr()),
         machine().dataMode(), spec.draftConfig, draft_weights,
-        draftPoolBytes(spec, options_));
+        draftPoolBytes(spec, options_), "draft.kv.");
     // Namespace the draft's captured graphs: graph ids restart per
     // executable, so without this a draft region could replay a graph
     // the target captured on the shared device.
-    draft_->ranks[0]->setGraphKeyspace("draft");
+    draft_->ranks[0].setGraphKeyspace("draft");
 }
 
 RequestId
@@ -311,7 +348,7 @@ Engine::appendToken(const SequenceStatePtr& seq, int64_t token)
 {
     seq->generated.push_back(token);
     ++seq->stats.generatedTokens;
-    ++stats_.tokensGenerated;
+    metrics_.counter("serve.tokens_generated").add();
     double now = machine().dev().clockUs();
     if (seq->stats.firstTokenUs < 0) {
         seq->stats.firstTokenUs = now;
@@ -351,8 +388,6 @@ Engine::finishSequence(const SequenceStatePtr& seq)
     if (draft_) draft_->kv->release(seq->request.id);
     running_.erase(std::find(running_.begin(), running_.end(), seq));
     finished_.push_back(seq);
-    ++stats_.requestsFinished;
-    stats_.ttftSumUs += seq->stats.ttftUs();
     metrics_.counter("serve.requests_finished").add();
     TraceRecorder& trace = machine().dev().trace();
     if (trace.enabled()) {
@@ -383,7 +418,6 @@ Engine::evict(const SequenceStatePtr& victim)
     if (draft_) draft_->kv->release(victim->request.id);
     running_.erase(std::find(running_.begin(), running_.end(), victim));
     ++victim->stats.preemptions;
-    ++stats_.evictions;
     // Back of the queue: generated tokens ride along and are re-prefilled
     // on re-admission (re-forking a still-resident parent prefix), so the
     // output stream resumes where it stopped.
@@ -428,7 +462,7 @@ Engine::invokeRaggedOn(ModelRunner& model,
     // host-marshalled inputs; cache data stays in the pool
     // (relayoutBytes stays 0 — any future host-side cache copy must be
     // added to that counter).
-    NDArray ids = packedIdsTensor(tokens, model.ranks[0]->dataMode());
+    NDArray ids = packedIdsTensor(tokens, model.ranks[0].dataMode());
     NDArray lens = kv.lengthsView(order);
     NDArray cu = cuFreshTensor(tokens);
     NDArray table = kv.blockTableView(order, table_width);
@@ -488,7 +522,6 @@ Engine::proposeDrafts(const std::vector<SequenceStatePtr>& rows,
         }
         if (order.empty()) break;
         invokeRaggedOn(*draft_, order, chunks);
-        ++stats_.draftCalls;
         metrics_.counter("serve.draft_calls").add();
         for (size_t i = 0; i < order.size(); ++i) {
             draft_->kv->commit(order[i], new_commits[i]);
@@ -520,7 +553,6 @@ Engine::proposeDrafts(const std::vector<SequenceStatePtr>& rows,
         }
         if (order.empty()) break;
         NDArray logits = invokeRaggedOn(*draft_, order, toks);
-        ++stats_.draftCalls;
         metrics_.counter("serve.draft_calls").add();
         for (size_t r = 0; r < order.size(); ++r) {
             SpecPlan& plan = plans[order[r]];
@@ -658,23 +690,24 @@ Engine::step()
     if (batch.empty()) return false;
 
     NDArray logits = invokeRaggedOn(target_, order, tokens);
-    ++stats_.decodeBatches; // one packed call per step, by construction
+    metrics_.counter("serve.decode_calls").add(); // one call per step
     bool any_prefill =
         std::find(is_prefill.begin(), is_prefill.end(), true) !=
         is_prefill.end();
+    const vm::RunStats& call = machine().lastRunStats();
     if (any_prefill) {
         // Mixed steps move the shape signature (the packed token count
         // changes), so their graph begins/replays are accounted to the
         // prefill counters; the steady-state pure-decode counters keep
         // measuring the replay win.
-        ++stats_.prefillBatches;
-        stats_.prefillGraphBegins += machine().lastRunStats().graphBegins;
-        stats_.prefillGraphReplays +=
-            machine().lastRunStats().graphReplays;
+        metrics_.counter("serve.prefill_steps").add();
+        metrics_.counter("serve.prefill_graph_begins").add(call.graphBegins);
+        metrics_.counter("serve.prefill_graph_replays")
+            .add(call.graphReplays);
     } else {
-        stats_.decodeGraphBegins += machine().lastRunStats().graphBegins;
-        stats_.decodeGraphReplays +=
-            machine().lastRunStats().graphReplays;
+        metrics_.counter("serve.decode_graph_begins").add(call.graphBegins);
+        metrics_.counter("serve.decode_graph_replays")
+            .add(call.graphReplays);
     }
 
     TraceRecorder& trace = machine().dev().trace();
@@ -696,7 +729,7 @@ Engine::step()
             seq->ctxLen = seq->prefillLength();
             target_.kv->commit(id, seq->ctxLen);
             seq->stats.prefillTokens += fresh;
-            stats_.prefillTokens += fresh;
+            metrics_.counter("serve.prefill_tokens").add(fresh);
             // Register the freshly committed page-aligned blocks in the
             // prefix index so later duplicate prompts match them.
             target_.kv->registerCommitted(id, seq->prefillTokens());
@@ -734,8 +767,6 @@ Engine::step()
                 k_row, options_.speculation.syntheticAcceptanceRate);
             acc.next = sampler_.sampleSynthetic(config_.vocabSize);
         }
-        stats_.specProposed += k_row;
-        stats_.specAccepted += acc.accepted;
         metrics_.counter("serve.spec_proposed_tokens").add(k_row);
         metrics_.counter("serve.spec_accepted_tokens").add(acc.accepted);
         metrics_.histogram("serve.spec_accepted").record(
@@ -766,14 +797,12 @@ Engine::step()
         }
     }
 
-    ++stats_.steps;
-    stats_.busyUs += machine().dev().clockUs() - clock_before;
-    stats_.peakKvBytes = std::max(stats_.peakKvBytes, target_.kv->peakBytes());
-
-    // Per-step registry sampling (always on: the counters feed the fuzz
-    // oracle's cross-checks, the gauges the BENCH_serve.json snapshot).
     metrics_.counter("serve.steps").add();
-    metrics_.counter("serve.decode_calls").add();
+    metrics_.histogram("serve.step_us")
+        .record(machine().dev().clockUs() - clock_before);
+
+    // Per-step gauge sampling.
+    EngineStats now = stats();
     metrics_.gauge("kv.used_pages").sample((double)target_.kv->usedPages());
     metrics_.gauge("kv.free_pages").sample((double)target_.kv->freePages());
     metrics_.gauge("kv.occupancy")
@@ -782,7 +811,7 @@ Engine::step()
                                       : 0.0);
     metrics_.gauge("serve.running").sample((double)running_.size());
     metrics_.gauge("serve.decode_replay_hit_rate")
-        .sample(stats_.decodeReplayHitRate());
+        .sample(now.decodeReplayHitRate());
     // Per-device memory gauges, one lane per shard (device 0 alone on
     // single-device engines, matching the trace pid layout).
     for (int i = 0; i < tensorParallel(); ++i) {
@@ -795,13 +824,13 @@ Engine::step()
     }
     if (speculationEnabled()) {
         metrics_.gauge("serve.spec_acceptance_rate")
-            .sample(stats_.specAcceptanceRate());
+            .sample(now.specAcceptanceRate());
     }
 
     if (trace.enabled()) {
         trace.span(trace_lanes::kEngine, trace_lanes::kSteps, "step",
                    "step", clock_before, clock_after - clock_before,
-                   {{"step", stats_.steps - 1},
+                   {{"step", now.steps - 1},
                     {"rows", (int64_t)batch.size()},
                     {"fresh_tokens", packed_end},
                     {"mixed", (int64_t)(any_prefill ? 1 : 0)}});
@@ -813,7 +842,20 @@ Engine::step()
     return true;
 }
 
-const EngineStats&
+EngineStats
+Engine::stats() const
+{
+    EngineStats stats;
+    for (const auto& [field, name] : kStatCounters) {
+        stats.*field = metrics_.counters().at(name).value();
+    }
+    stats.busyUs = metrics_.histograms().at("serve.step_us").sum();
+    stats.ttftSumUs = metrics_.histograms().at("serve.ttft_us").sum();
+    stats.peakKvBytes = target_.kv->peakBytes();
+    return stats;
+}
+
+EngineStats
 Engine::run()
 {
     while (hasPendingWork()) {
@@ -824,7 +866,7 @@ Engine::run()
                 << target_.kv->budgetBytes() << " bytes)";
         }
     }
-    return stats_;
+    return stats();
 }
 
 std::vector<FinishedRequest>

@@ -133,19 +133,20 @@ struct EngineOptions
     std::string interconnect = "nvlink";
 };
 
-/** Aggregate engine statistics on the virtual clock (RunStats-style). */
+/** Aggregate engine statistics on the virtual clock: a view that
+ *  Engine::stats() reads from the registry, their only store. */
 struct EngineStats
 {
     int64_t steps = 0;
     int64_t prefillBatches = 0; //!< steps whose packed call held prefill rows
-    int64_t decodeBatches = 0;  //!< packed calls issued (== steps)
+    int64_t decodeBatches = 0;  //!< target calls issued (== steps)
     int64_t prefillTokens = 0;  //!< fresh tokens prefilled into the pool
     int64_t tokensGenerated = 0;
     int64_t requestsFinished = 0;
     int64_t evictions = 0;
     double busyUs = 0.0;      //!< device-clock time spent inside step()
     int64_t peakKvBytes = 0;  //!< high-water unique-page pool usage
-    double ttftSumUs = 0.0;   //!< summed TTFT of finished requests
+    double ttftSumUs = 0.0;   //!< summed TTFT of requests past first token
 
     /**
      * Host-side KV-cache bytes copied to relayout tensors for a compiled
@@ -300,18 +301,19 @@ class Engine
      * queue head can never fit the KV budget (nothing running and nothing
      * admissible).
      */
-    const EngineStats& run();
+    EngineStats run();
 
     /** Returns finished requests (arrival order) and forgets them. */
     std::vector<FinishedRequest> collect();
 
-    const EngineStats& stats() const { return stats_; }
+    /** The aggregate statistics, read from the registry. */
+    EngineStats stats() const;
 
     /**
-     * The engine's metrics registry (always on; EngineStats keeps the
-     * cheap aggregate view, the registry carries what aggregates cannot:
-     * full TTFT and inter-token latency distributions plus per-step KV
-     * pool gauges — see docs/DESIGN.md §7).
+     * The engine's metrics registry: always on, and the only store of
+     * every serving statistic. The engine and its KV pools register all
+     * their metrics at construction, so a snapshot's names never depend
+     * on the run (docs/DESIGN.md §7 lists the schema):
      *
      *  - serve.ttft_us / serve.itl_us histograms: recorded at token
      *    emission on the virtual clock. TTFT is measured from the
@@ -321,9 +323,8 @@ class Engine
      *    include eviction stalls (real tail latency, vLLM semantics).
      *  - kv.used_pages / kv.free_pages / kv.occupancy gauges sampled
      *    once per step; serve.decode_replay_hit_rate likewise.
-     *  - serve.* / kv.* counters mirror the event tallies (steps,
-     *    tokens, evictions, COW copies, prefix hits, ...) — the fuzz
-     *    oracle cross-checks them against the internal fields.
+     *  - serve.* counters count engine events, kv.* the target pool's
+     *    and draft.kv.* (present once a draft is attached) the draft's.
      */
     const MetricsRegistry& metrics() const { return metrics_; }
     MetricsRegistry& metrics() { return metrics_; }
@@ -332,13 +333,7 @@ class Engine
     /** The draft model's KV pool (null until enableSpeculation()). */
     KVCacheManager* draftKv() { return draft_ ? draft_->kv.get() : nullptr; }
     /** The target model's rank-0 VM. */
-    vm::VirtualMachine& machine() { return *target_.ranks[0]; }
-    /** The draft model's VM (null until enableSpeculation()). */
-    vm::VirtualMachine*
-    draftMachine()
-    {
-        return draft_ ? draft_->ranks[0] : nullptr;
-    }
+    vm::VirtualMachine& machine() { return target_.ranks[0]; }
     const frontend::LlamaConfig& config() const { return config_; }
     /** The target's device group: never null; one device at tp = 1. */
     device::DeviceGroup* deviceGroup() { return target_.group.get(); }
@@ -350,25 +345,25 @@ class Engine
      * One model on a DeviceGroup: rank r runs `ranks[r]` on the group's
      * device r with `weights[r]` and its slice of `kv`'s pool. The target
      * at tp = 1, the target at tp = N and the draft model are all
-     * runners; a one-device group never meets a collective.
+     * runners; a one-device group never meets a collective. `kv` points
+     * into `ranks`, which never resizes.
      */
     struct ModelRunner
     {
         std::shared_ptr<device::DeviceGroup> group;
-        std::vector<std::unique_ptr<vm::VirtualMachine>> machines;
-        std::vector<vm::VirtualMachine*> ranks; //!< machines, unowned
+        std::vector<vm::VirtualMachine> ranks;
         std::vector<std::vector<NDArray>> weights;
         std::unique_ptr<KVCacheManager> kv;
     };
 
     /** A runner for `exec` on every device of `group`, with `weights`
-     *  sliced per rank and a `kv_budget`-byte pool. */
+     *  sliced per rank and a `kv_budget`-byte `kv_prefix` pool. */
     ModelRunner makeRunner(vm::ExecutablePtr exec,
                            std::shared_ptr<device::DeviceGroup> group,
                            bool data_mode,
                            const frontend::LlamaConfig& config,
                            const std::vector<NDArray>& weights,
-                           int64_t kv_budget);
+                           int64_t kv_budget, const std::string& kv_prefix);
 
     /** Per-row speculation state for one step: the proposed draft tokens
      *  and (top-k sampling only) the draft distribution each was drawn
@@ -417,6 +412,8 @@ class Engine
 
     frontend::LlamaConfig config_;
     EngineOptions options_;
+    // Declared before the runners: their KV managers hold counters in it.
+    MetricsRegistry metrics_;
     ModelRunner target_;
     Scheduler scheduler_;
     Sampler sampler_;
@@ -427,8 +424,6 @@ class Engine
     Sampler draftSampler_;
     std::vector<SequenceStatePtr> running_;
     std::vector<SequenceStatePtr> finished_;
-    EngineStats stats_;
-    MetricsRegistry metrics_;
     RequestId nextId_ = 0;
     int64_t nextAdmitSeq_ = 0;
 };

@@ -14,18 +14,23 @@ namespace relax {
 namespace serve {
 
 KVCacheManager::KVCacheManager(const frontend::LlamaConfig& config,
-                               vm::VirtualMachine& machine,
+                               std::vector<vm::VirtualMachine*> shards,
                                int64_t budgetBytes, int64_t blockTokens,
-                               std::vector<vm::VirtualMachine*> shards)
-    : machine_(machine), shards_(std::move(shards)),
-      blockTokens_(blockTokens),
+                               MetricsRegistry& metrics,
+                               const std::string& prefix)
+    : shards_(std::move(shards)), blockTokens_(blockTokens),
       bytesPerBlock_(config.kvBytesPerToken() * blockTokens),
       budgetBytes_(budgetBytes),
-      totalBlocks_(bytesPerBlock_ > 0 ? budgetBytes / bytesPerBlock_ : 0)
+      totalBlocks_(bytesPerBlock_ > 0 ? budgetBytes / bytesPerBlock_ : 0),
+      forks_(metrics.counter(prefix + "forks")),
+      cowCopies_(metrics.counter(prefix + "cow_copies")),
+      truncates_(metrics.counter(prefix + "truncates")),
+      prefixHits_(metrics.counter(prefix + "prefix_hits")),
+      prefixTokensMatched_(metrics.counter(prefix + "prefix_tokens_matched"))
 {
     RELAX_ICHECK(blockTokens_ > 0) << "KV block size must be positive";
     RELAX_ICHECK(budgetBytes_ >= 0) << "negative KV budget";
-    if (shards_.empty()) shards_.push_back(&machine_);
+    RELAX_ICHECK(!shards_.empty()) << "KV pool needs at least one shard";
     int64_t n = (int64_t)shards_.size();
     RELAX_ICHECK(config.numHeads % n == 0)
         << "KV pool: " << config.numHeads << " heads not divisible by "
@@ -46,7 +51,7 @@ KVCacheManager::KVCacheManager(const frontend::LlamaConfig& config,
         pools_[s].reserve(2 * (size_t)config.numLayers);
         for (int64_t layer = 0; layer < 2 * config.numLayers; ++layer) {
             pools_[s].push_back(
-                machine_.dataMode()
+                shards_[0]->dataMode()
                     ? NDArray::zeros(pool_shape, DataType::f16())
                     : NDArray::metaOnly(pool_shape, DataType::f16()));
         }
@@ -80,15 +85,14 @@ KVCacheManager::acquirePage()
 {
     if (freePages_.empty()) {
         RELAX_THROW(RuntimeError)
-            << "KV page pool exhausted: " << usedBlocks_ << "/"
+            << "KV page pool exhausted: " << usedPages() << "/"
             << totalBlocks_ << " pages in use";
     }
     int64_t page = freePages_.back();
     freePages_.pop_back();
     RELAX_ICHECK(refCounts_[page] == 0) << "free page had references";
     refCounts_[page] = 1;
-    ++usedBlocks_;
-    peakBlocks_ = std::max(peakBlocks_, usedBlocks_);
+    peakBlocks_ = std::max(peakBlocks_, usedPages());
     return page;
 }
 
@@ -109,14 +113,13 @@ KVCacheManager::copyPage(int64_t src, int64_t dst)
         cost.bytes =
             2.0 * (double)bytesPerBlock_ / (double)shards_.size();
         cost.flops = 0.0;
-        cost.efficiency = machine_.dev().spec().genElemwiseEfficiency;
+        cost.efficiency = shards_[0]->dev().spec().genElemwiseEfficiency;
         for (vm::VirtualMachine* shard : shards_) {
             shard->dev().launchKernel(cost, "kv.cow_copy_page");
         }
     }
-    ++cowCopies_;
-    if (metrics_) metrics_->counter("kv.cow_copies").add();
-    if (!machine_.dataMode()) return;
+    cowCopies_.add();
+    if (!shards_[0]->dataMode()) return;
     for (auto& shard_pools : pools_) {
         for (NDArray& pool : shard_pools) {
             int64_t row =
@@ -169,7 +172,7 @@ KVCacheManager::reserve(RequestId seq, int64_t tokens)
     if (!canHold(seq, tokens)) {
         RELAX_THROW(RuntimeError)
             << "KV budget exhausted: sequence " << seq << " needs "
-            << blocksFor(tokens) << " pages, " << usedBlocks_ << "/"
+            << blocksFor(tokens) << " pages, " << usedPages() << "/"
             << totalBlocks_ << " in use";
     }
     Sequence& state = sequences_[seq];
@@ -188,7 +191,7 @@ KVCacheManager::reserveWrite(RequestId seq, int64_t tokens,
         RELAX_THROW(RuntimeError)
             << "KV budget exhausted: sequence " << seq
             << " cannot own its write range up to " << tokens
-            << " positions (" << usedBlocks_ << "/" << totalBlocks_
+            << " positions (" << usedPages() << "/" << totalBlocks_
             << " pages in use)";
     }
     reserve(seq, tokens);
@@ -205,10 +208,10 @@ KVCacheManager::reserveWrite(RequestId seq, int64_t tokens,
         copyPage(page, fresh);
         --refCounts_[page];
         state.pages[idx] = fresh;
-        TraceRecorder& trace = machine_.dev().trace();
+        TraceRecorder& trace = shards_[0]->dev().trace();
         if (trace.enabled()) {
             trace.instant(trace_lanes::kEngine, trace_lanes::kKvPool,
-                          "cow_copy", "kv", machine_.dev().clockUs(),
+                          "cow_copy", "kv", shards_[0]->dev().clockUs(),
                           {{"request", seq},
                            {"src_page", page},
                            {"dst_page", fresh}});
@@ -221,16 +224,18 @@ KVCacheManager::release(RequestId seq)
 {
     auto it = sequences_.find(seq);
     if (it == sequences_.end()) return;
-    for (int64_t page : it->second.pages) {
-        if (--refCounts_[page] == 0) {
-            // The page's content is gone the moment it can be
-            // reacquired, so its prefix-index entry goes with it.
-            unregisterPage(page);
-            freePages_.push_back(page);
-            --usedBlocks_;
-        }
-    }
+    for (int64_t page : it->second.pages) dropPageRef(page);
     sequences_.erase(it);
+}
+
+void
+KVCacheManager::dropPageRef(int64_t page)
+{
+    if (--refCounts_[page] > 0) return;
+    // The page's content is gone the moment it can be reacquired, so its
+    // prefix-index entry goes with it.
+    unregisterPage(page);
+    freePages_.push_back(page);
 }
 
 int64_t
@@ -249,12 +254,7 @@ KVCacheManager::truncate(RequestId seq, int64_t tokens)
 
     int64_t dropped = (int64_t)state.pages.size() - keep;
     for (int64_t idx = keep; idx < (int64_t)state.pages.size(); ++idx) {
-        int64_t page = state.pages[idx];
-        if (--refCounts_[page] == 0) {
-            unregisterPage(page);
-            freePages_.push_back(page);
-            --usedBlocks_;
-        }
+        dropPageRef(state.pages[idx]);
     }
     state.pages.resize((size_t)keep);
 
@@ -276,12 +276,11 @@ KVCacheManager::truncate(RequestId seq, int64_t tokens)
     }
     state.committed = new_committed;
     state.tokens = std::min(state.tokens, keep * blockTokens_);
-    ++truncates_;
-    if (metrics_) metrics_->counter("kv.truncates").add();
-    TraceRecorder& trace = machine_.dev().trace();
+    truncates_.add();
+    TraceRecorder& trace = shards_[0]->dev().trace();
     if (trace.enabled()) {
         trace.instant(trace_lanes::kEngine, trace_lanes::kKvPool,
-                      "truncate", "kv", machine_.dev().clockUs(),
+                      "truncate", "kv", shards_[0]->dev().clockUs(),
                       {{"request", seq},
                        {"tokens", new_committed},
                        {"pages_dropped", dropped}});
@@ -313,7 +312,7 @@ KVCacheManager::flushCowBatch()
     cost.bytes = 2.0 * (double)bytesPerBlock_ * (double)pages /
                  (double)shards_.size();
     cost.flops = 0.0;
-    cost.efficiency = machine_.dev().spec().genElemwiseEfficiency;
+    cost.efficiency = shards_[0]->dev().spec().genElemwiseEfficiency;
     for (vm::VirtualMachine* shard : shards_) {
         shard->dev().launchKernel(cost, "kv.cow_copy_burst");
     }
@@ -338,15 +337,20 @@ KVCacheManager::fork(RequestId parent, RequestId child, int64_t tokens)
     for (int64_t page : state.pages) ++refCounts_[page];
     state.tokens = tokens;
     state.committed = tokens;
-    ++forks_;
+    forks_.add();
 }
 
 void
 KVCacheManager::dropFork(RequestId child)
 {
-    if (sequences_.find(child) == sequences_.end()) return;
+    auto it = sequences_.find(child);
+    if (it == sequences_.end()) return;
+    if (it->second.matched > 0) {
+        prefixHits_.add(-1);
+        prefixTokensMatched_.add(-it->second.matched);
+    }
+    forks_.add(-1);
     release(child);
-    --forks_;
 }
 
 namespace {
@@ -455,17 +459,14 @@ KVCacheManager::matchPrefix(RequestId child,
     state.tokens = (int64_t)state.pages.size() * blockTokens_;
     state.committed = state.tokens;
     state.blockHashes = std::move(hashes);
-    ++forks_;
-    ++prefixHits_;
-    prefixTokensMatched_ += state.tokens;
-    if (metrics_) {
-        metrics_->counter("kv.prefix_hits").add();
-        metrics_->counter("kv.prefix_tokens_matched").add(state.tokens);
-    }
-    TraceRecorder& trace = machine_.dev().trace();
+    state.matched = state.tokens;
+    forks_.add();
+    prefixHits_.add();
+    prefixTokensMatched_.add(state.tokens);
+    TraceRecorder& trace = shards_[0]->dev().trace();
     if (trace.enabled()) {
         trace.instant(trace_lanes::kEngine, trace_lanes::kKvPool,
-                      "prefix_hit", "kv", machine_.dev().clockUs(),
+                      "prefix_hit", "kv", shards_[0]->dev().clockUs(),
                       {{"request", child},
                        {"tokens", state.tokens},
                        {"pages", (int64_t)state.pages.size()}});

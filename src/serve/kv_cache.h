@@ -38,6 +38,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "frontend/llama.h"
@@ -57,26 +58,26 @@ class KVCacheManager
      * resident as VM persistent storage for the manager's lifetime.
      *
      * @param config      model whose kvBytesPerToken() prices a position
-     * @param machine     VM whose device accounts the pool (and whose
-     *                    data mode decides real vs metadata-only pools)
-     * @param budgetBytes hard cap on total reserved KV bytes
-     * @param blockTokens cache positions per page
-     * @param shards      tensor-parallel shard VMs, one per device, in
-     *                    rank order. Empty (the default) is the
-     *                    single-device path: one pool on `machine`.
-     *                    Non-empty splits the head axis: shard s gets
-     *                    [p, h/N, block, d] pool tensors resident on ITS
-     *                    device (1/N of the logical bytes each). All
+     * @param shards      one VM per device in rank order (shard 0's data
+     *                    mode decides real vs metadata-only pools). The
+     *                    head axis splits: shard s gets [p, h/N, block,
+     *                    d] pool tensors resident on ITS device. All
      *                    page-table state — budget, page count,
      *                    bytesPerBlock(), admission math — stays in
-     *                    LOGICAL full-model bytes, so scheduling
-     *                    decisions are bit-identical to tp=1; only the
-     *                    per-device residency and copy pricing divide.
+     *                    LOGICAL full-model bytes, so scheduling is
+     *                    identical at every N.
+     * @param budgetBytes hard cap on total reserved KV bytes
+     * @param blockTokens cache positions per page
+     * @param metrics     stores the sharing statistics: `prefix` + forks,
+     *                    cow_copies, truncates, prefix_hits and
+     *                    prefix_tokens_matched, registered here
+     * @param prefix      "kv." for the served model, "draft.kv." for a draft
      */
     KVCacheManager(const frontend::LlamaConfig& config,
-                   vm::VirtualMachine& machine, int64_t budgetBytes,
-                   int64_t blockTokens = 16,
-                   std::vector<vm::VirtualMachine*> shards = {});
+                   std::vector<vm::VirtualMachine*> shards,
+                   int64_t budgetBytes, int64_t blockTokens,
+                   MetricsRegistry& metrics,
+                   const std::string& prefix = "kv.");
 
     ~KVCacheManager();
 
@@ -89,11 +90,11 @@ class KVCacheManager
     /** Total physical pages in the pool. */
     int64_t totalPages() const { return totalBlocks_; }
     /** Unique pages currently referenced by at least one sequence. */
-    int64_t usedPages() const { return usedBlocks_; }
+    int64_t usedPages() const { return totalBlocks_ - freePages(); }
     /** High-water unique-page mark. */
     int64_t peakPages() const { return peakBlocks_; }
-    int64_t freePages() const { return totalBlocks_ - usedBlocks_; }
-    int64_t usedBytes() const { return usedBlocks_ * bytesPerBlock_; }
+    int64_t freePages() const { return (int64_t)freePages_.size(); }
+    int64_t usedBytes() const { return usedPages() * bytesPerBlock_; }
     int64_t peakBytes() const { return peakBlocks_ * bytesPerBlock_; }
     int64_t freeBytes() const { return budgetBytes_ - usedBytes(); }
 
@@ -177,9 +178,9 @@ class KVCacheManager
     /**
      * Undoes a speculative fork whose admission fell through before any
      * reservation: drops `child`'s references like release() and takes
-     * the fork back out of forkCount(), so the statistic reports only
-     * forks that actually admitted. No-op when `child` is unknown
-     * (including forks that degraded to no-ops).
+     * the fork (and a matchPrefix() hit with its tokens) back out of the
+     * statistics, so they report only forks that actually admitted. No-op
+     * when `child` is unknown (including forks that degraded to no-ops).
      */
     void dropFork(RequestId child);
 
@@ -271,39 +272,23 @@ class KVCacheManager
         return pools_.at((size_t)shard);
     }
 
-    /** Tensor-parallel shard count backing the pool (1 = single device). */
-    int numShards() const { return (int)shards_.size(); }
-
-    // --- sharing statistics -------------------------------------------------
+    // --- sharing statistics (read from the registry) -----------------------
 
     /** fork() / matchPrefix() calls that actually mapped shared pages. */
-    int64_t forkCount() const { return forks_; }
+    int64_t forkCount() const { return forks_.value(); }
     /** Copy-on-write page copies performed (device-priced). */
-    int64_t cowCopies() const { return cowCopies_; }
+    int64_t cowCopies() const { return cowCopies_.value(); }
     /** Device bytes moved by copy-on-write page copies. */
-    int64_t cowBytes() const { return cowCopies_ * bytesPerBlock_; }
+    int64_t cowBytes() const { return cowCopies() * bytesPerBlock_; }
     /** truncate() calls that dropped at least one page or rewound the
      *  committed length. */
-    int64_t truncateCount() const { return truncates_; }
+    int64_t truncateCount() const { return truncates_.value(); }
     /** matchPrefix() calls that mapped at least one page. */
-    int64_t prefixHits() const { return prefixHits_; }
+    int64_t prefixHits() const { return prefixHits_.value(); }
     /** Total cache positions resolved from the index by matchPrefix(). */
-    int64_t prefixTokensMatched() const { return prefixTokensMatched_; }
+    int64_t prefixTokensMatched() const { return prefixTokensMatched_.value(); }
     /** Live hash→page index entries (test introspection). */
     int64_t indexedBlocks() const { return (int64_t)pageHash_.size(); }
-
-    // --- observability ------------------------------------------------------
-
-    /**
-     * Attaches the owning engine's MetricsRegistry: the manager then
-     * mirrors its sharing tallies into the `kv.*` counters (cow_copies,
-     * prefix_hits, prefix_tokens_matched) at the event sites, so a
-     * registry snapshot carries them without polling. Null detaches;
-     * the manager never owns the registry. COW-copy and prefix-hit
-     * trace instants ride the device's TraceRecorder independently of
-     * this (keyed by request id, engine kv-pool lane).
-     */
-    void setMetrics(MetricsRegistry* metrics) { metrics_ = metrics; }
 
   private:
     struct Sequence
@@ -314,6 +299,8 @@ class KVCacheManager
         /** Chained content hash of each registered/matched full block
          *  (registration progress of the prefix-caching index). */
         std::vector<uint64_t> blockHashes;
+        /** Positions matchPrefix() mapped (what dropFork() takes back). */
+        int64_t matched = 0;
     };
     /** One registered block: the page holding it, the page holding the
      *  previous block of its chain (-1 for the first block), and the
@@ -334,26 +321,27 @@ class KVCacheManager
     /** Chained block hash (test hook aware). */
     uint64_t hashBlock(uint64_t prev, const int64_t* tokens,
                        int64_t count) const;
+    /** Drops one reference to `page`, freeing it (and its index entry)
+     *  when it was the last. */
+    void dropPageRef(int64_t page);
     /** Drops `page`'s index entry, if any (page is leaving the pool). */
     void unregisterPage(int64_t page);
 
-    vm::VirtualMachine& machine_;
-    /** Shard VMs in rank order; {&machine_} on the single-device path. */
+    /** Shard VMs in rank order. */
     std::vector<vm::VirtualMachine*> shards_;
-    MetricsRegistry* metrics_ = nullptr; //!< engine-owned, optional
     int64_t blockTokens_;
     int64_t bytesPerBlock_;
     int64_t budgetBytes_;
     int64_t totalBlocks_;
-    int64_t usedBlocks_ = 0;
     int64_t peakBlocks_ = 0;
-    int64_t forks_ = 0;
-    int64_t cowCopies_ = 0;
-    int64_t truncates_ = 0;
+    // The sharing statistics' only store, in the caller's registry.
+    Counter& forks_;
+    Counter& cowCopies_;
+    Counter& truncates_;
+    Counter& prefixHits_;
+    Counter& prefixTokensMatched_;
     bool cowBatchActive_ = false;   //!< inside begin/flushCowBatch()
     int64_t cowBatchPages_ = 0;     //!< copies deferred in the open batch
-    int64_t prefixHits_ = 0;
-    int64_t prefixTokensMatched_ = 0;
     /** [shard][layer-k/v] pool tensors, [p, h/N, block, d] each. */
     std::vector<std::vector<NDArray>> pools_;
     std::vector<int64_t> freePages_;  //!< LIFO of unreferenced page ids

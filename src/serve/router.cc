@@ -14,6 +14,19 @@
 namespace relax {
 namespace serve {
 
+namespace {
+
+/** Every RouterStats field and the registry counter that stores it. */
+const std::pair<int64_t RouterStats::*, const char*> kStatCounters[] = {
+    {&RouterStats::submitted, "router.submitted"},
+    {&RouterStats::dispatched, "router.dispatched"},
+    {&RouterStats::shed, "router.shed"},
+    {&RouterStats::tenantRejected, "router.tenant_rejected"},
+    {&RouterStats::finished, "router.finished"},
+};
+
+} // namespace
+
 Router::Router(std::vector<std::unique_ptr<Engine>> replicas,
                RouterOptions options)
     : replicas_(std::move(replicas)), options_(options)
@@ -23,6 +36,19 @@ Router::Router(std::vector<std::unique_ptr<Engine>> replicas,
         RELAX_ICHECK(replica != nullptr) << "Router replica is null";
     }
     outstanding_.assign(replicas_.size(), 0);
+    for (const auto& [field, name] : kStatCounters) metrics_.counter(name);
+    metrics_.histogram("router.ttft_us");
+    metrics_.gauge("router.outstanding_tokens");
+}
+
+RouterStats
+Router::stats() const
+{
+    RouterStats stats;
+    for (const auto& [field, name] : kStatCounters) {
+        stats.*field = metrics_.counters().at(name).value();
+    }
+    return stats;
 }
 
 int64_t
@@ -39,7 +65,7 @@ Router::submit(std::string tenant, std::vector<int64_t> prompt,
     RELAX_ICHECK(pending_.empty() ||
                  arrival_us >= pending_.back().arrivalUs)
         << "Router arrivals must be submitted in time order";
-    ++stats_.submitted;
+    metrics_.counter("router.submitted").add();
     pending_.push_back(Arrival{std::move(tenant), std::move(prompt),
                                max_new_tokens, arrival_us});
 }
@@ -65,7 +91,6 @@ Router::dispatch(Arrival arrival)
     if (options_.maxTenantTokensInFlight > 0 &&
         tenantTokensInFlight(arrival.tenant) + charge >
             options_.maxTenantTokensInFlight) {
-        ++stats_.tenantRejected;
         metrics_.counter("router.tenant_rejected").add();
         metrics_.counter("router.tenant." + arrival.tenant + ".rejected")
             .add();
@@ -78,7 +103,6 @@ Router::dispatch(Arrival arrival)
     }
     if (options_.maxOutstandingTokensPerReplica > 0 &&
         outstanding_[best] >= options_.maxOutstandingTokensPerReplica) {
-        ++stats_.shed;
         metrics_.counter("router.shed").add();
         return;
     }
@@ -96,7 +120,6 @@ Router::dispatch(Arrival arrival)
     outstanding_[best] += charge;
     tenantInFlight_[arrival.tenant] += charge;
     inFlight_[{best, id}] = InFlight{std::move(arrival.tenant), charge};
-    ++stats_.dispatched;
     metrics_.counter("router.dispatched").add();
 }
 
@@ -122,7 +145,6 @@ Router::stepReplica(size_t r)
         if (ttft >= 0) {
             metrics_.histogram("router.ttft_us").record(ttft);
         }
-        ++stats_.finished;
         metrics_.counter("router.finished").add();
         finished_.push_back(RoutedRequest{std::move(it->second.tenant),
                                           (int)r, std::move(finished)});
@@ -130,7 +152,7 @@ Router::stepReplica(size_t r)
     }
 }
 
-const RouterStats&
+RouterStats
 Router::run()
 {
     const double inf = std::numeric_limits<double>::infinity();
@@ -160,7 +182,7 @@ Router::run()
     }
     RELAX_ICHECK(inFlight_.empty())
         << "Router finished with requests still in flight";
-    return stats_;
+    return stats();
 }
 
 std::vector<RoutedRequest>

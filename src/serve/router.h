@@ -30,10 +30,11 @@
  * steps. Idle replicas are advanced to the arrival time through
  * hostOverhead — a replica that sat idle does not time-travel.
  *
- * Metrics (`router.*` in the router's own registry):
- *   counters  router.dispatched / router.shed / router.tenant_rejected /
- *             router.finished, plus router.tenant.<name>.rejected per
- *             budget-rejected tenant
+ * Metrics (`router.*` in the router's own registry, which stores every
+ * count; all but the per-tenant names are registered at construction):
+ *   counters  router.submitted / router.dispatched / router.shed /
+ *             router.tenant_rejected / router.finished (RouterStats reads
+ *             them), plus router.tenant.<name>.rejected per tenant
  *   histogram router.ttft_us — admitted requests only, measured from
  *             the original arrival stamp (shed requests never enter it)
  *   gauge     router.outstanding_tokens — cluster-wide charge, sampled
@@ -68,7 +69,7 @@ struct RouterOptions
     int64_t maxTenantTokensInFlight = 0;
 };
 
-/** Router-level aggregate statistics (the registry has distributions). */
+/** Router-level aggregate statistics, read from the router's registry. */
 struct RouterStats
 {
     int64_t submitted = 0;
@@ -106,12 +107,12 @@ class Router
      * Runs the cluster until every submitted arrival is dispatched,
      * shed, or rejected, and every dispatched request has finished.
      */
-    const RouterStats& run();
+    RouterStats run();
 
     /** Finished requests in completion order; clears the buffer. */
     std::vector<RoutedRequest> collect();
 
-    const RouterStats& stats() const { return stats_; }
+    RouterStats stats() const;
     const MetricsRegistry& metrics() const { return metrics_; }
     MetricsRegistry& metrics() { return metrics_; }
     int replicaCount() const { return (int)replicas_.size(); }
@@ -150,7 +151,6 @@ class Router
     /** (replica, engine request id) -> charge to release on finish. */
     std::map<std::pair<size_t, RequestId>, InFlight> inFlight_;
     std::vector<RoutedRequest> finished_;
-    RouterStats stats_;
     MetricsRegistry metrics_;
 };
 

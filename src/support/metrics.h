@@ -2,12 +2,12 @@
  * @file
  * MetricsRegistry: a unified registry of named counters, gauges, and
  * histograms replacing ad-hoc statistics fields as the machine-readable
- * view of a run. The serving engine keeps one registry per instance and
- * updates it at event sites (the KV manager shares it for its own
- * tallies); unlike tracing, metrics are always on — every update is one
- * arithmetic op, cheap enough for the hot path.
+ * view of a run. The serving engine's registry is the only store of its
+ * statistics (its KV pools count in it too), registered at construction
+ * and updated at event sites; unlike tracing, metrics are always on —
+ * every update is one arithmetic op, cheap enough for the hot path.
  *
- *  - Counter: monotonic int64 (evictions, COW copies, prefix hits, ...).
+ *  - Counter: int64 event count (evictions, COW copies, prefix hits, ...).
  *  - Gauge: last/min/max/mean of a sampled value (KV pool occupancy and
  *    free pages per step, replay hit-rate, ...).
  *  - Histogram: full value retention with exact percentiles (TTFT and
@@ -33,7 +33,7 @@
 
 namespace relax {
 
-/** Monotonic event count. */
+/** Event count; only a rollback (KVCacheManager::dropFork) subtracts. */
 class Counter
 {
   public:

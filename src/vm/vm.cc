@@ -410,13 +410,12 @@ Value
 VirtualMachine::invoke(const std::string& name,
                        const std::vector<Value>& args)
 {
-    VirtualMachine* self = this;
     const std::vector<Value>* self_args = &args;
-    return std::move(run(&self, &self_args, 1, nullptr, name)[0]);
+    return std::move(run(this, &self_args, 1, nullptr, name)[0]);
 }
 
 std::vector<Value>
-VirtualMachine::invokeLockstep(const std::vector<VirtualMachine*>& shards,
+VirtualMachine::invokeLockstep(std::vector<VirtualMachine>& shards,
                                device::DeviceGroup& group,
                                const std::string& name,
                                const std::vector<std::vector<Value>>& args)
@@ -433,11 +432,11 @@ VirtualMachine::invokeLockstep(const std::vector<VirtualMachine*>& shards,
 }
 
 std::vector<Value>
-VirtualMachine::run(VirtualMachine* const* shards,
+VirtualMachine::run(VirtualMachine* shards,
                     const std::vector<Value>* const* args, size_t n,
                     device::DeviceGroup* group, const std::string& name)
 {
-    const ExecutablePtr& exec = shards[0]->exec_;
+    const ExecutablePtr& exec = shards[0].exec_;
     const VMFunction& func = findFunction(exec, name, args[0]->size());
 
     std::vector<Executor> executors;
@@ -446,7 +445,7 @@ VirtualMachine::run(VirtualMachine* const* shards,
     std::vector<CounterSnapshot> snaps;
     snaps.reserve(n);
     for (size_t s = 0; s < n; ++s) {
-        VirtualMachine& shard = *shards[s];
+        VirtualMachine& shard = shards[s];
         RELAX_ICHECK(shard.exec_ == exec)
             << "lockstep shards must share one executable";
         if (s > 0) findFunction(exec, name, args[s]->size()); // arity
@@ -472,7 +471,7 @@ VirtualMachine::run(VirtualMachine* const* shards,
                     << "' needs a device group; run tensor-parallel "
                        "executables through invokeLockstep";
             }
-            lockstepCollective(instr, *group, frames, shards[0]->dataMode_);
+            lockstepCollective(instr, *group, frames, shards[0].dataMode_);
             continue;
         }
         for (size_t s = 0; s < n; ++s) {
@@ -483,7 +482,7 @@ VirtualMachine::run(VirtualMachine* const* shards,
     std::vector<Value> results;
     results.reserve(n);
     for (size_t s = 0; s < n; ++s) {
-        VirtualMachine& shard = *shards[s];
+        VirtualMachine& shard = shards[s];
         finishFrame(frames[s], name, snaps[s], *shard.device_,
                     shard.freePool_, shard.lastStats_, shard.graphStats_);
         results.push_back(std::move(executors[s].result_));

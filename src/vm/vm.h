@@ -149,7 +149,7 @@ class VirtualMachine
      * per-shard RunStats are updated exactly as for invoke().
      */
     static std::vector<Value>
-    invokeLockstep(const std::vector<VirtualMachine*>& shards,
+    invokeLockstep(std::vector<VirtualMachine>& shards,
                    device::DeviceGroup& group, const std::string& name,
                    const std::vector<std::vector<Value>>& args);
 
@@ -194,7 +194,7 @@ class VirtualMachine
   private:
     /** The instruction loop behind invoke() (n = 1, no group) and
      *  invokeLockstep(). */
-    static std::vector<Value> run(VirtualMachine* const* shards,
+    static std::vector<Value> run(VirtualMachine* shards,
                                   const std::vector<Value>* const* args,
                                   size_t n, device::DeviceGroup* group,
                                   const std::string& name);

@@ -8,6 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
+#include <set>
+#include <string>
 
 #include "serve/engine.h"
 
@@ -327,6 +330,75 @@ TEST(EngineTest, EvictionAndReadmissionPreserveTokens)
         preempted += results[i].stats.preemptions;
     }
     EXPECT_GE(preempted, 1);
+}
+
+/** Every metric name in `metrics`: counters, gauges and histograms. */
+std::set<std::string>
+metricNames(const MetricsRegistry& metrics)
+{
+    std::set<std::string> names;
+    for (const auto& entry : metrics.counters()) names.insert(entry.first);
+    for (const auto& entry : metrics.gauges()) names.insert(entry.first);
+    for (const auto& entry : metrics.histograms()) {
+        names.insert(entry.first);
+    }
+    return names;
+}
+
+TEST(EngineTest, MetricNamesDoNotDependOnTheRun)
+{
+    // The engine and its KV pools register every metric at
+    // construction, so a snapshot lists the same names whether the run
+    // evicted or never stepped; attaching a draft adds exactly its own
+    // pool's draft.kv.* counters.
+    LlamaConfig config = LlamaConfig::tiny();
+    auto build = [&](int64_t budget_blocks, int64_t draft_tokens) {
+        EngineOptions options;
+        options.kvBlockTokens = 4;
+        options.kvBudgetBytes = 64 * 4 * budget_blocks;
+        options.speculation.draftTokens = draft_tokens;
+        options.speculation.draftConfig = config;
+        return Engine::build(config, hostOptions(), /*data_mode=*/true,
+                             options);
+    };
+    auto serve = [](Engine& engine) {
+        engine.addRequest({3, 1, 4, 1}, 8);
+        engine.addRequest({2, 7, 1, 8}, 8);
+        return engine.run();
+    };
+
+    const std::set<std::string> fresh = metricNames(build(64, 0)->metrics());
+    for (const char* name : {"serve.evictions", "serve.draft_calls",
+                             "kv.cow_copies", "kv.truncates",
+                             "kv.used_pages", "serve.itl_us"}) {
+        EXPECT_EQ(fresh.count(name), 1u) << name;
+    }
+
+    auto roomy = build(64, 0);
+    EXPECT_EQ(serve(*roomy).evictions, 0);
+    EXPECT_EQ(metricNames(roomy->metrics()), fresh);
+
+    // The eviction test's budget: the two requests cannot both grow.
+    auto tight = build(5, 0);
+    EXPECT_GE(serve(*tight).evictions, 1);
+    EXPECT_EQ(metricNames(tight->metrics()), fresh);
+
+    auto speculative = build(64, 2);
+    const std::set<std::string> attached =
+        metricNames(speculative->metrics());
+    EXPECT_GT(serve(*speculative).specProposed, 0);
+    EXPECT_EQ(metricNames(speculative->metrics()), attached);
+    EXPECT_TRUE(std::includes(attached.begin(), attached.end(),
+                              fresh.begin(), fresh.end()));
+    std::set<std::string> draft_only;
+    std::set_difference(attached.begin(), attached.end(), fresh.begin(),
+                        fresh.end(),
+                        std::inserter(draft_only, draft_only.end()));
+    EXPECT_EQ(draft_only,
+              (std::set<std::string>{"draft.kv.cow_copies", "draft.kv.forks",
+                                     "draft.kv.prefix_hits",
+                                     "draft.kv.prefix_tokens_matched",
+                                     "draft.kv.truncates"}));
 }
 
 TEST(EngineTest, TtftHistogramMeasuresFromOriginalArrivalAcrossEviction)
@@ -719,16 +791,6 @@ TEST(EngineSpecTest, MismatchedDraftStaysExactAndRollsBack)
     // Rejections rewound the draft pool past its committed frontier.
     ASSERT_NE(engine->draftKv(), nullptr);
     EXPECT_GT(engine->draftKv()->truncateCount(), 0);
-    // Metrics mirror the speculation tallies.
-    EXPECT_EQ(engine->metrics().counter("serve.spec_proposed_tokens").value(),
-              stats.specProposed);
-    EXPECT_EQ(engine->metrics().counter("serve.spec_accepted_tokens").value(),
-              stats.specAccepted);
-    EXPECT_EQ(engine->metrics().counter("serve.draft_calls").value(),
-              stats.draftCalls);
-    EXPECT_EQ(engine->metrics().counter("kv.truncates").value(),
-              engine->kv().truncateCount() +
-                  engine->draftKv()->truncateCount());
 }
 
 TEST(EngineSpecTest, PrefixSharedSiblingSurvivesSiblingRejections)

@@ -18,6 +18,7 @@ struct Fixture
     frontend::LlamaConfig config = frontend::LlamaConfig::tiny();
     std::shared_ptr<device::SimDevice> dev;
     vm::VirtualMachine machine;
+    MetricsRegistry metrics;
 
     explicit Fixture(int64_t vram = int64_t(1) << 30)
         : dev(std::make_shared<device::SimDevice>([vram] {
@@ -38,8 +39,8 @@ TEST(KVCacheTest, BlockGeometry)
     Fixture fx;
     // tiny: 2 layers * 2 heads * 4 dim * 2 (k+v) * 2 bytes = 64 B/token.
     EXPECT_EQ(fx.config.kvBytesPerToken(), 64);
-    KVCacheManager kv(fx.config, fx.machine, /*budget=*/64 * 4 * 10,
-                      /*blockTokens=*/4);
+    KVCacheManager kv(fx.config, {&fx.machine}, /*budget=*/64 * 4 * 10,
+                      /*blockTokens=*/4, fx.metrics);
     EXPECT_EQ(kv.bytesPerBlock(), 64 * 4);
     EXPECT_EQ(kv.totalPages(), 10);
     EXPECT_EQ(kv.blocksFor(1), 1);
@@ -60,7 +61,7 @@ TEST(KVCacheTest, PoolIsResidentUpFront)
     Fixture fx;
     int64_t base = fx.dev->allocatedBytes();
     {
-        KVCacheManager kv(fx.config, fx.machine, 64 * 4 * 8, 4);
+        KVCacheManager kv(fx.config, {&fx.machine}, 64 * 4 * 8, 4, fx.metrics);
         EXPECT_EQ(fx.dev->allocatedBytes() - base,
                   kv.totalPages() * kv.bytesPerBlock());
         kv.reserve(1, 8);
@@ -73,7 +74,7 @@ TEST(KVCacheTest, PoolIsResidentUpFront)
 TEST(KVCacheTest, ReserveGrowReleaseTracksPoolOccupancy)
 {
     Fixture fx;
-    KVCacheManager kv(fx.config, fx.machine, 64 * 4 * 8, 4);
+    KVCacheManager kv(fx.config, {&fx.machine}, 64 * 4 * 8, 4, fx.metrics);
 
     kv.reserve(/*seq=*/1, /*tokens=*/4); // 1 page
     EXPECT_EQ(kv.usedPages(), 1);
@@ -101,7 +102,7 @@ TEST(KVCacheTest, BudgetRefusesOverCommit)
 {
     Fixture fx;
     // Room for exactly 3 pages.
-    KVCacheManager kv(fx.config, fx.machine, 64 * 4 * 3, 4);
+    KVCacheManager kv(fx.config, {&fx.machine}, 64 * 4 * 3, 4, fx.metrics);
     EXPECT_TRUE(kv.canHold(1, 12));
     EXPECT_FALSE(kv.canHold(1, 13));
     kv.reserve(1, 8); // 2 pages
@@ -119,7 +120,7 @@ TEST(KVCacheTest, BudgetRefusesOverCommit)
 TEST(KVCacheTest, PeakTracksHighWaterMark)
 {
     Fixture fx;
-    KVCacheManager kv(fx.config, fx.machine, 64 * 4 * 8, 4);
+    KVCacheManager kv(fx.config, {&fx.machine}, 64 * 4 * 8, 4, fx.metrics);
     kv.reserve(1, 8);
     kv.reserve(2, 8);
     EXPECT_EQ(kv.peakBytes(), 4 * kv.bytesPerBlock());
@@ -132,7 +133,7 @@ TEST(KVCacheTest, PeakTracksHighWaterMark)
 TEST(KVCacheTest, CommitTracksWrittenPositionsBelowReservation)
 {
     Fixture fx;
-    KVCacheManager kv(fx.config, fx.machine, 64 * 4 * 8, 4);
+    KVCacheManager kv(fx.config, {&fx.machine}, 64 * 4 * 8, 4, fx.metrics);
     kv.reserve(1, 6); // 2 pages reserved
     EXPECT_EQ(kv.committedTokens(1), 0);
     kv.commit(1, 5);
@@ -147,7 +148,7 @@ TEST(KVCacheTest, CommitTracksWrittenPositionsBelowReservation)
 TEST(KVCacheTest, RaggedViewsExposeLengthsAndBlockTable)
 {
     Fixture fx;
-    KVCacheManager kv(fx.config, fx.machine, 64 * 4 * 8, 4);
+    KVCacheManager kv(fx.config, {&fx.machine}, 64 * 4 * 8, 4, fx.metrics);
     kv.reserve(7, 6); // pages 0, 1
     kv.commit(7, 5);
     kv.reserve(9, 3); // page 2
@@ -174,7 +175,7 @@ TEST(KVCacheTest, RaggedViewsExposeLengthsAndBlockTable)
 TEST(KVCacheTest, ForkSharesPagesByRefcount)
 {
     Fixture fx;
-    KVCacheManager kv(fx.config, fx.machine, 64 * 4 * 8, 4);
+    KVCacheManager kv(fx.config, {&fx.machine}, 64 * 4 * 8, 4, fx.metrics);
     kv.reserve(1, 8); // pages 0, 1
     kv.commit(1, 7);
 
@@ -210,7 +211,7 @@ TEST(KVCacheTest, ForkSharesPagesByRefcount)
 TEST(KVCacheTest, CopyOnWriteUnsharesTheWriteRange)
 {
     Fixture fx;
-    KVCacheManager kv(fx.config, fx.machine, 64 * 4 * 8, 4);
+    KVCacheManager kv(fx.config, {&fx.machine}, 64 * 4 * 8, 4, fx.metrics);
     kv.reserve(1, 6); // pages 0, 1; position 5 is mid-page
     kv.commit(1, 6);
     // Poison page 1 so the copy is observable: pool row of page 1.
@@ -261,7 +262,7 @@ TEST(KVCacheTest, CanHoldWriteCountsCowPages)
 {
     Fixture fx;
     // Pool of exactly 3 pages.
-    KVCacheManager kv(fx.config, fx.machine, 64 * 4 * 3, 4);
+    KVCacheManager kv(fx.config, {&fx.machine}, 64 * 4 * 3, 4, fx.metrics);
     kv.reserve(1, 8); // pages 0, 1
     kv.commit(1, 6);
     kv.fork(1, 2, 6); // both pages shared; 1 page free
@@ -287,7 +288,7 @@ TEST(KVCacheTest, CanHoldWriteCountsCowPages)
 TEST(KVCacheTest, PrefixIndexLifecycleMatchForkThenCowOnDivergence)
 {
     Fixture fx;
-    KVCacheManager kv(fx.config, fx.machine, 64 * 4 * 8, 4);
+    KVCacheManager kv(fx.config, {&fx.machine}, 64 * 4 * 8, 4, fx.metrics);
     std::vector<int64_t> prompt = {3, 1, 4, 1, 5, 9, 2, 6};
 
     // Nothing indexed yet: a probe matches nothing and leaves no trace.
@@ -340,10 +341,38 @@ TEST(KVCacheTest, PrefixIndexLifecycleMatchForkThenCowOnDivergence)
     EXPECT_EQ(kv.indexedBlocks(), 0);
 }
 
+TEST(KVCacheTest, DroppedMatchLeavesNoStatistic)
+{
+    // A blocked queue head is matched at every admission attempt and
+    // rolled back while it waits: only the match that admits counts.
+    Fixture fx;
+    KVCacheManager kv(fx.config, {&fx.machine}, 64 * 4 * 8, 4, fx.metrics);
+    std::vector<int64_t> prompt = {3, 1, 4, 1, 5, 9, 2, 6};
+    kv.reserve(1, 8);
+    kv.commit(1, 8);
+    kv.registerCommitted(1, prompt);
+    std::vector<int64_t> duplicate = prompt;
+    duplicate.push_back(8);
+
+    EXPECT_EQ(kv.matchPrefix(2, duplicate), 8);
+    kv.dropFork(2);
+    EXPECT_EQ(kv.forkCount(), 0);
+    EXPECT_EQ(kv.prefixHits(), 0);
+    EXPECT_EQ(kv.prefixTokensMatched(), 0);
+
+    EXPECT_EQ(kv.matchPrefix(2, duplicate), 8);
+    kv.reserve(2, 9);
+    EXPECT_EQ(kv.forkCount(), 1);
+    EXPECT_EQ(kv.prefixHits(), 1);
+    EXPECT_EQ(kv.prefixTokensMatched(), 8);
+    // The accessors read the registry the manager was given.
+    EXPECT_EQ(fx.metrics.counter("kv.prefix_hits").value(), 1);
+}
+
 TEST(KVCacheTest, HashCollisionsFallBackToNoShareViaContentVerify)
 {
     Fixture fx;
-    KVCacheManager kv(fx.config, fx.machine, 64 * 4 * 8, 4);
+    KVCacheManager kv(fx.config, {&fx.machine}, 64 * 4 * 8, 4, fx.metrics);
     // Force every block onto one hash chain: the index degenerates into
     // a single collision bucket, so content verification alone decides.
     kv.setBlockHashForTest(
@@ -393,7 +422,7 @@ TEST(KVCacheTest, HashCollisionsFallBackToNoShareViaContentVerify)
 TEST(KVCacheTest, EvictionRemovesIndexEntriesAndReRegistrationRevives)
 {
     Fixture fx;
-    KVCacheManager kv(fx.config, fx.machine, 64 * 4 * 8, 4);
+    KVCacheManager kv(fx.config, {&fx.machine}, 64 * 4 * 8, 4, fx.metrics);
     std::vector<int64_t> prompt = {2, 7, 1, 8, 2, 8, 1, 8};
     kv.reserve(1, 8);
     kv.commit(1, 8);
@@ -433,7 +462,7 @@ TEST(KVCacheTest, RegisterCommittedCoversGeneratedTokensForReAdmission)
     // registration is keyed on committed content, whatever its origin,
     // so a requeued twin can reuse the survivor's pages.
     Fixture fx;
-    KVCacheManager kv(fx.config, fx.machine, 64 * 4 * 8, 4);
+    KVCacheManager kv(fx.config, {&fx.machine}, 64 * 4 * 8, 4, fx.metrics);
     std::vector<int64_t> prompt_plus_generated = {5, 3, 0, 9, 4, 4, 1};
     kv.reserve(1, 7);
     kv.commit(1, 7); // only block 0 is full (7 < 2*4)
@@ -462,7 +491,7 @@ TEST(KVCacheTest, TruncateReturnsWholePagesAndRewindsCommitted)
     // un-kept positions and clamping the committed frontier in the last
     // retained page.
     Fixture fx;
-    KVCacheManager kv(fx.config, fx.machine, 64 * 4 * 8, 4);
+    KVCacheManager kv(fx.config, {&fx.machine}, 64 * 4 * 8, 4, fx.metrics);
     kv.reserve(1, 10); // pages 0, 1, 2
     kv.commit(1, 10);
     EXPECT_EQ(kv.usedPages(), 3);
@@ -495,7 +524,7 @@ TEST(KVCacheTest, TruncateReturnsWholePagesAndRewindsCommitted)
 TEST(KVCacheTest, TruncateDropsStaleIndexEntriesBeforeReMatching)
 {
     Fixture fx;
-    KVCacheManager kv(fx.config, fx.machine, 64 * 4 * 8, 4);
+    KVCacheManager kv(fx.config, {&fx.machine}, 64 * 4 * 8, 4, fx.metrics);
     // Constant hash: every block lands on one collision chain, so only
     // the entry bookkeeping — never hash luck — decides what a probe
     // can see.
@@ -547,7 +576,7 @@ TEST(KVCacheTest, CowBatchPricesOneBurstLaunch)
     // whole sweep — the cudaMemcpyAsync-batch shape — instead of one
     // launch per page.
     Fixture fx;
-    KVCacheManager kv(fx.config, fx.machine, 64 * 4 * 8, 4);
+    KVCacheManager kv(fx.config, {&fx.machine}, 64 * 4 * 8, 4, fx.metrics);
     kv.reserve(1, 6); // pages 0, 1; position 5 mid-page
     kv.commit(1, 6);
     NDArray pool = kv.poolTensors()[0];
@@ -586,7 +615,7 @@ TEST(KVCacheTest, DestructorReturnsThePool)
     Fixture fx;
     int64_t base = fx.dev->allocatedBytes();
     {
-        KVCacheManager kv(fx.config, fx.machine, 64 * 4 * 8, 4);
+        KVCacheManager kv(fx.config, {&fx.machine}, 64 * 4 * 8, 4, fx.metrics);
         kv.reserve(1, 8);
         EXPECT_GT(fx.dev->allocatedBytes(), base);
     }

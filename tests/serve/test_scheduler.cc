@@ -17,6 +17,7 @@ struct Fixture
     frontend::LlamaConfig config = frontend::LlamaConfig::tiny();
     std::shared_ptr<device::SimDevice> dev;
     vm::VirtualMachine machine;
+    MetricsRegistry metrics;
 
     Fixture()
         : dev(std::make_shared<device::SimDevice>([] {
@@ -33,7 +34,8 @@ struct Fixture
     kvWithBlocks(int64_t blocks)
     {
         // tiny config: 64 bytes/token, 4-token blocks.
-        return KVCacheManager(config, machine, 64 * 4 * blocks, 4);
+        return KVCacheManager(config, {&machine}, 64 * 4 * blocks, 4,
+                              metrics);
     }
 
     static SequenceStatePtr
