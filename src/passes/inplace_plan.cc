@@ -18,7 +18,7 @@
  *     equal shape between candidate and output;
  *  3. ownership — no root is a constant, and parameter roots are allowed
  *     only when the function donates them ("donatable_params" attr, the
- *     frontend's mark on the persistent KV page pools; COW-shared or
+ *     frontend's mark on the persistent KV page pools; shared or
  *     otherwise externally owned tensors are simply never donated);
  *  4. kernel safety — for call_dps_library, the library's in-place
  *     contract (libraryInplaceArg); for call_tir, a conservative

@@ -4,11 +4,10 @@
  * (with automatic prefix matching against the KV manager's block-hash
  * index), then ONE packed-varlen page-pool call per step in which newly
  * admitted rows prefill their fresh prompt tails and running rows decode
- * one token each, with copy-on-write and eviction under memory pressure —
- * plus request bookkeeping and the virtual-clock statistics (see
- * engine.h). Cache data never moves on the host: every phase addresses
- * the persistent pool through the block table, so
- * EngineStats::relayoutBytes stays 0.
+ * one token each, with eviction under memory pressure — plus request
+ * bookkeeping and the virtual-clock statistics (see engine.h). Cache
+ * data never moves on the host: every phase addresses the persistent
+ * pool through the block table, so EngineStats::relayoutBytes stays 0.
  */
 #include "serve/engine.h"
 
@@ -419,21 +418,19 @@ Engine::evict(const SequenceStatePtr& victim)
     running_.erase(std::find(running_.begin(), running_.end(), victim));
     ++victim->stats.preemptions;
     // Back of the queue: generated tokens ride along and are re-prefilled
-    // on re-admission (re-forking a still-resident parent prefix), so the
+    // on re-admission (re-matching a still-indexed prompt prefix), so the
     // output stream resumes where it stopped.
     scheduler_.enqueue(victim);
 }
 
 void
-Engine::ensureWritable(const SequenceStatePtr& seq, int64_t tokens,
-                       int64_t write_start)
+Engine::ensureWritable(const SequenceStatePtr& seq, int64_t tokens)
 {
-    // Capacity plus exclusive ownership of the write range; evict the
-    // most recently admitted sequence while the pool cannot provide it.
-    // Evicting a prefix-sharing reader can itself unshare the range, so
-    // the condition is re-checked every round.
+    // Evict the most recently admitted sequence while the pool cannot
+    // grow `seq`; the write range [committed, tokens) never covers a
+    // shared page (KVCacheManager::reserve checks it).
     if (seq->phase != RequestPhase::kRunning) return;
-    while (!target_.kv->canHoldWrite(seq->request.id, tokens, write_start)) {
+    while (!target_.kv->canHold(seq->request.id, tokens)) {
         SequenceStatePtr victim = Scheduler::pickVictim(running_);
         RELAX_ICHECK(victim) << "no eviction victim";
         if (victim == seq && running_.size() == 1) {
@@ -445,7 +442,7 @@ Engine::ensureWritable(const SequenceStatePtr& seq, int64_t tokens,
         evict(victim);
         if (victim == seq) return;
     }
-    target_.kv->reserveWrite(seq->request.id, tokens, write_start);
+    target_.kv->reserve(seq->request.id, tokens);
 }
 
 NDArray
@@ -517,7 +514,7 @@ Engine::proposeDrafts(const std::vector<SequenceStatePtr>& rows,
                                 stream.begin() + have + take);
             order.push_back(id);
             new_commits.push_back(have + take);
-            draft_->kv->reserveWrite(id, have + take, have);
+            draft_->kv->reserve(id, have + take);
             total += take;
         }
         if (order.empty()) break;
@@ -545,8 +542,7 @@ Engine::proposeDrafts(const std::vector<SequenceStatePtr>& rows,
             const SpecPlan& plan = plans[id];
             int64_t tok = j == 0 ? seq->generated.back()
                                  : plan.drafts.back();
-            draft_->kv->reserveWrite(id, seq->ctxLen + j + 1,
-                                     seq->ctxLen + j);
+            draft_->kv->reserve(id, seq->ctxLen + j + 1);
             order.push_back(id);
             toks.push_back({tok});
             call_rows.push_back(seq);
@@ -603,22 +599,19 @@ Engine::step()
     int64_t spec_budget =
         speculationEnabled() ? options_.speculation.draftTokens : 0;
 
-    // Own every row's write range up front (this may evict, including
-    // rows admitted above — phases are re-checked when the batch is
-    // built). Admitted rows write their fresh prompt tail starting at
-    // the committed (possibly prefix-matched) offset; running rows grow
-    // by one decode position plus their speculation window. The whole
-    // sweep shares one COW pricing batch, so b sequences copying shared
-    // pages in the same step pay one burst launch, not b.
+    // Reserve every row's write range up front (this may evict,
+    // including rows admitted above — phases are re-checked when the
+    // batch is built). Admitted rows write their fresh prompt tail
+    // starting at the committed (possibly prefix-matched) offset;
+    // running rows grow by one decode position plus their speculation
+    // window.
     std::map<RequestId, int64_t> spec_k;
     std::vector<SequenceStatePtr> members = running_;
-    target_.kv->beginCowBatch();
     for (const SequenceStatePtr& seq : members) {
         bool is_admitted = std::find(admitted.begin(), admitted.end(),
                                      seq) != admitted.end();
         if (is_admitted) {
-            ensureWritable(seq, seq->prefillLength(),
-                           target_.kv->committedTokens(seq->request.id));
+            ensureWritable(seq, seq->prefillLength());
             continue;
         }
         int64_t k_row = 0;
@@ -633,16 +626,14 @@ Engine::step()
             k_row = std::min(k_row, config_.maxContext - seq->ctxLen - 1);
             k_row = std::max<int64_t>(k_row, 0);
             while (k_row > 0 &&
-                   !target_.kv->canHoldWrite(seq->request.id,
-                                      seq->ctxLen + 1 + k_row,
-                                      seq->ctxLen)) {
+                   !target_.kv->canHold(seq->request.id,
+                                        seq->ctxLen + 1 + k_row)) {
                 --k_row;
             }
         }
-        ensureWritable(seq, seq->ctxLen + 1 + k_row, seq->ctxLen);
+        ensureWritable(seq, seq->ctxLen + 1 + k_row);
         if (k_row > 0) spec_k[seq->request.id] = k_row;
     }
-    target_.kv->flushCowBatch();
 
     // Draft proposals for the rows that survived the reservation sweep
     // (eviction may have reclaimed some).

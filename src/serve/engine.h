@@ -23,8 +23,10 @@
  * KV manager indexes committed page-aligned blocks by chained content
  * hash, and admission maps a new request onto any indexed pages whose
  * verified content matches its prompt (KVCacheManager::matchPrefix) —
- * no fork hint from the caller, refcounts + copy-on-write keep writers
- * private exactly as explicit forks did.
+ * no hint from the caller. Shared pages are immutable: a match covers
+ * only full committed blocks short of the prompt's last token, so every
+ * write lands on a page its writer holds alone (KVCacheManager::reserve
+ * checks it).
  *
  * build() compiles the executable with the graph-capture bucket equal to
  * the KV block size, so the decode shape signature moves only when the
@@ -45,8 +47,7 @@
  * Sampler accepts a prefix (greedy: longest argmax match + bonus token,
  * token-identical to sequential greedy; top-k: rejection sampling,
  * target-distribution preserving). Rejected tokens rewind both pools
- * via KVCacheManager::truncate; a step's COW copies price as one burst
- * launch. docs/DESIGN.md §8 is the contract.
+ * via KVCacheManager::truncate. docs/DESIGN.md §8 is the contract.
  *
  * Works in both VM modes: data mode samples real logits (correctness
  * tests, examples); timing mode advances the simulated device clock with
@@ -273,9 +274,9 @@ class Engine
      * manager matches the prompt against its index of committed
      * page-aligned blocks (content-verified chained hashes) and maps any
      * hit onto the existing pool pages, so only the unmatched tail is
-     * prefilled. Copy-on-write keeps every token stream exact, and a
-     * request whose twin has already released its pages simply prefills
-     * in full.
+     * prefilled. Matched pages are never written again, which keeps
+     * every token stream exact, and a request whose twin has already
+     * released its pages simply prefills in full.
      */
     RequestId addRequest(std::vector<int64_t> prompt,
                          int64_t max_new_tokens, int64_t stop_token = -1,
@@ -396,11 +397,9 @@ class Engine
     void proposeDrafts(const std::vector<SequenceStatePtr>& rows,
                        const std::map<RequestId, int64_t>& spec_k,
                        std::map<RequestId, SpecPlan>& plans);
-    /** Grows `seq` to `tokens` positions with an exclusively-owned write
-     *  range [write_start, tokens), evicting under pressure (possibly
-     *  `seq` itself — callers re-check the phase afterwards). */
-    void ensureWritable(const SequenceStatePtr& seq, int64_t tokens,
-                        int64_t write_start);
+    /** Grows `seq` to `tokens` positions, evicting under pressure
+     *  (possibly `seq` itself — callers re-check the phase afterwards). */
+    void ensureWritable(const SequenceStatePtr& seq, int64_t tokens);
     /** Appends a sampled token; finishes the sequence when done. */
     void appendToken(const SequenceStatePtr& seq, int64_t token);
     void finishSequence(const SequenceStatePtr& seq);

@@ -1,7 +1,7 @@
 /**
  * @file
  * KVCacheManager implementation: the resident page pool, the free-list /
- * refcount page lifecycle (reserve, fork, copy-on-write, release), the
+ * refcount page lifecycle (reserve, truncate, release), the
  * chained-hash prefix-caching index (matchPrefix / registerCommitted),
  * and the lengths/block-table views the ragged kernels consume (see
  * kv_cache.h).
@@ -22,8 +22,6 @@ KVCacheManager::KVCacheManager(const frontend::LlamaConfig& config,
       bytesPerBlock_(config.kvBytesPerToken() * blockTokens),
       budgetBytes_(budgetBytes),
       totalBlocks_(bytesPerBlock_ > 0 ? budgetBytes / bytesPerBlock_ : 0),
-      forks_(metrics.counter(prefix + "forks")),
-      cowCopies_(metrics.counter(prefix + "cow_copies")),
       truncates_(metrics.counter(prefix + "truncates")),
       prefixHits_(metrics.counter(prefix + "prefix_hits")),
       prefixTokensMatched_(metrics.counter(prefix + "prefix_tokens_matched"))
@@ -96,42 +94,6 @@ KVCacheManager::acquirePage()
     return page;
 }
 
-void
-KVCacheManager::copyPage(int64_t src, int64_t dst)
-{
-    // A device-side page copy (cudaMemcpyDeviceToDevice): one page of
-    // K/V across every layer is read and written once. Priced on the
-    // simulated clock — copy-on-write is not free, it is just rare.
-    // Inside a COW batch the cost is deferred: one step's copies flush
-    // as a single burst launch instead of paying the per-launch
-    // overhead b times.
-    if (cowBatchActive_) {
-        ++cowBatchPages_;
-    } else {
-        // Each shard copies its 1/N slice of the page on its own device.
-        device::KernelCost cost;
-        cost.bytes =
-            2.0 * (double)bytesPerBlock_ / (double)shards_.size();
-        cost.flops = 0.0;
-        cost.efficiency = shards_[0]->dev().spec().genElemwiseEfficiency;
-        for (vm::VirtualMachine* shard : shards_) {
-            shard->dev().launchKernel(cost, "kv.cow_copy_page");
-        }
-    }
-    cowCopies_.add();
-    if (!shards_[0]->dataMode()) return;
-    for (auto& shard_pools : pools_) {
-        for (NDArray& pool : shard_pools) {
-            int64_t row =
-                pool.numel() / std::max<int64_t>(totalBlocks_, 1);
-            auto& data = pool.data();
-            std::copy(data.begin() + src * row,
-                      data.begin() + (src + 1) * row,
-                      data.begin() + dst * row);
-        }
-    }
-}
-
 bool
 KVCacheManager::canHold(RequestId seq, int64_t tokens) const
 {
@@ -143,32 +105,24 @@ KVCacheManager::canHold(RequestId seq, int64_t tokens) const
     return extra <= (int64_t)freePages_.size();
 }
 
-bool
-KVCacheManager::canHoldWrite(RequestId seq, int64_t tokens,
-                             int64_t writeStart) const
-{
-    int64_t owned = 0;
-    const Sequence* state = nullptr;
-    if (auto it = sequences_.find(seq); it != sequences_.end()) {
-        state = &it->second;
-        owned = (int64_t)state->pages.size();
-    }
-    int64_t needed = std::max<int64_t>(blocksFor(tokens) - owned, 0);
-    // Each already-owned page in the write range that is shared with
-    // another sequence costs one fresh page to copy into.
-    if (state && tokens > writeStart) {
-        int64_t first = writeStart / blockTokens_;
-        int64_t last = (tokens - 1) / blockTokens_;
-        for (int64_t idx = first; idx <= last && idx < owned; ++idx) {
-            if (refCounts_[state->pages[idx]] > 1) ++needed;
-        }
-    }
-    return needed <= (int64_t)freePages_.size();
-}
-
 void
 KVCacheManager::reserve(RequestId seq, int64_t tokens)
 {
+    // The next call writes [committed, tokens): no page it covers may be
+    // shared, or the write would change another holder's K/V.
+    auto it = sequences_.find(seq);
+    if (it != sequences_.end() && tokens > it->second.committed) {
+        const Sequence& state = it->second;
+        int64_t last = std::min(blocksFor(tokens),
+                                (int64_t)state.pages.size());
+        for (int64_t idx = state.committed / blockTokens_; idx < last;
+             ++idx) {
+            RELAX_ICHECK(refCounts_[state.pages[idx]] == 1)
+                << "sequence " << seq << " would write shared page "
+                << state.pages[idx] << " (refcount "
+                << refCounts_[state.pages[idx]] << ")";
+        }
+    }
     if (!canHold(seq, tokens)) {
         RELAX_THROW(RuntimeError)
             << "KV budget exhausted: sequence " << seq << " needs "
@@ -181,42 +135,6 @@ KVCacheManager::reserve(RequestId seq, int64_t tokens)
         state.pages.push_back(acquirePage());
     }
     state.tokens = std::max(state.tokens, tokens);
-}
-
-void
-KVCacheManager::reserveWrite(RequestId seq, int64_t tokens,
-                             int64_t writeStart)
-{
-    if (!canHoldWrite(seq, tokens, writeStart)) {
-        RELAX_THROW(RuntimeError)
-            << "KV budget exhausted: sequence " << seq
-            << " cannot own its write range up to " << tokens
-            << " positions (" << usedPages() << "/" << totalBlocks_
-            << " pages in use)";
-    }
-    reserve(seq, tokens);
-    if (tokens <= writeStart) return;
-    Sequence& state = sequences_[seq];
-    int64_t first = writeStart / blockTokens_;
-    int64_t last = (tokens - 1) / blockTokens_;
-    for (int64_t idx = first; idx <= last; ++idx) {
-        int64_t page = state.pages[idx];
-        if (refCounts_[page] <= 1) continue;
-        // Copy-on-write: the writer repoints to a private copy; readers
-        // keep the original page untouched.
-        int64_t fresh = acquirePage();
-        copyPage(page, fresh);
-        --refCounts_[page];
-        state.pages[idx] = fresh;
-        TraceRecorder& trace = shards_[0]->dev().trace();
-        if (trace.enabled()) {
-            trace.instant(trace_lanes::kEngine, trace_lanes::kKvPool,
-                          "cow_copy", "kv", shards_[0]->dev().clockUs(),
-                          {{"request", seq},
-                           {"src_page", page},
-                           {"dst_page", fresh}});
-        }
-    }
 }
 
 void
@@ -259,17 +177,12 @@ KVCacheManager::truncate(RequestId seq, int64_t tokens)
     state.pages.resize((size_t)keep);
 
     // Retained pages whose block is no longer fully committed will be
-    // rewritten in place once decode resumes — if this sequence is the
-    // sole owner, their index entries' token snapshots would diverge
-    // from the pool content, so they must go before the page can be
-    // re-matched. Shared pages stay indexed: copy-on-write repoints this
-    // writer to a private copy, leaving the original content (and its
-    // entry) intact for the other holders.
+    // rewritten in place once decode resumes, so their index entries'
+    // token snapshots would diverge from the pool content: they go
+    // before the page can be re-matched.
     int64_t full_blocks = new_committed / blockTokens_;
     for (int64_t idx = full_blocks; idx < keep; ++idx) {
-        if (refCounts_[state.pages[idx]] == 1) {
-            unregisterPage(state.pages[idx]);
-        }
+        unregisterPage(state.pages[idx]);
     }
     if ((int64_t)state.blockHashes.size() > full_blocks) {
         state.blockHashes.resize((size_t)full_blocks);
@@ -289,59 +202,7 @@ KVCacheManager::truncate(RequestId seq, int64_t tokens)
 }
 
 void
-KVCacheManager::beginCowBatch()
-{
-    RELAX_ICHECK(!cowBatchActive_) << "COW batch already open";
-    cowBatchActive_ = true;
-    cowBatchPages_ = 0;
-}
-
-int64_t
-KVCacheManager::flushCowBatch()
-{
-    RELAX_ICHECK(cowBatchActive_) << "no COW batch open";
-    cowBatchActive_ = false;
-    int64_t pages = cowBatchPages_;
-    cowBatchPages_ = 0;
-    if (pages == 0) return 0;
-    // All of the step's page copies land as one burst: the bytes add up
-    // but the launch overhead is paid once, the way a batched
-    // cudaMemcpyAsync sweep behaves. Each shard bursts its 1/N slice on
-    // its own device.
-    device::KernelCost cost;
-    cost.bytes = 2.0 * (double)bytesPerBlock_ * (double)pages /
-                 (double)shards_.size();
-    cost.flops = 0.0;
-    cost.efficiency = shards_[0]->dev().spec().genElemwiseEfficiency;
-    for (vm::VirtualMachine* shard : shards_) {
-        shard->dev().launchKernel(cost, "kv.cow_copy_burst");
-    }
-    return pages;
-}
-
-void
-KVCacheManager::fork(RequestId parent, RequestId child, int64_t tokens)
-{
-    auto parent_it = sequences_.find(parent);
-    if (parent_it == sequences_.end()) return;
-    tokens = std::min(tokens, parent_it->second.committed);
-    if (tokens <= 0) return;
-    RELAX_ICHECK(sequences_.find(child) == sequences_.end())
-        << "fork target " << child << " already holds pages";
-    Sequence& state = sequences_[child];
-    int64_t npages = blocksFor(tokens);
-    RELAX_ICHECK(npages <= (int64_t)parent_it->second.pages.size())
-        << "fork range exceeds parent's pages";
-    state.pages.assign(parent_it->second.pages.begin(),
-                       parent_it->second.pages.begin() + npages);
-    for (int64_t page : state.pages) ++refCounts_[page];
-    state.tokens = tokens;
-    state.committed = tokens;
-    forks_.add();
-}
-
-void
-KVCacheManager::dropFork(RequestId child)
+KVCacheManager::dropMatch(RequestId child)
 {
     auto it = sequences_.find(child);
     if (it == sequences_.end()) return;
@@ -349,7 +210,6 @@ KVCacheManager::dropFork(RequestId child)
         prefixHits_.add(-1);
         prefixTokensMatched_.add(-it->second.matched);
     }
-    forks_.add(-1);
     release(child);
 }
 
@@ -460,7 +320,6 @@ KVCacheManager::matchPrefix(RequestId child,
     state.committed = state.tokens;
     state.blockHashes = std::move(hashes);
     state.matched = state.tokens;
-    forks_.add();
     prefixHits_.add();
     prefixTokensMatched_.add(state.tokens);
     TraceRecorder& trace = shards_[0]->dev().trace();

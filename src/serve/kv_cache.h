@@ -10,22 +10,23 @@
  * and per-page reference counts:
  *
  *  - reserve/release move pages between sequences and the free list;
- *  - fork() maps a child sequence onto the pages holding a parent's
- *    committed prefix (refcount++, zero copies) — shared-system-prompt
- *    serving;
  *  - automatic prefix caching: registerCommitted() records each full
  *    page-aligned block of a sequence's committed prompt in a
  *    hash→page index under a chained content hash, and matchPrefix()
  *    maps a new sequence onto every indexed page whose token content
  *    (verified byte-for-byte, never trusted from the hash alone)
- *    extends its matched chain — no fork_of hint required;
- *  - reserveWrite() enforces copy-on-write: before a sequence writes a
- *    page whose refcount exceeds one, the page is copied to a fresh one
- *    on the device (priced on the simulated clock) and the writer's
- *    table entry is repointed;
+ *    extends its matched chain (refcount++, zero copies);
  *  - eviction (release) returns pages to the pool only when their last
  *    reference drops, at which point their index entries are removed
  *    (the index never outlives page content).
+ *
+ * The one sharing rule: a page with refcount > 1 is never written.
+ * matchPrefix() maps only full, committed, page-aligned blocks and stops
+ * short of the last prompt token, so a matched sequence's first write
+ * lands on a fresh page; registered pages are full and committed, so
+ * their holders never write them again. Shared pages are therefore
+ * immutable, and reserve() checks it: growing a sequence whose write
+ * range [committed, tokens) covers a shared page is an InternalError.
  *
  * Cache *values* live in the pool tensors (real data in data mode,
  * metadata-only in timing mode); the compiled kernels mutate them in
@@ -68,9 +69,9 @@ class KVCacheManager
      *                    identical at every N.
      * @param budgetBytes hard cap on total reserved KV bytes
      * @param blockTokens cache positions per page
-     * @param metrics     stores the sharing statistics: `prefix` + forks,
-     *                    cow_copies, truncates, prefix_hits and
-     *                    prefix_tokens_matched, registered here
+     * @param metrics     stores the sharing statistics: `prefix` +
+     *                    truncates, prefix_hits and prefix_tokens_matched,
+     *                    registered here
      * @param prefix      "kv." for the served model, "draft.kv." for a draft
      */
     KVCacheManager(const frontend::LlamaConfig& config,
@@ -105,28 +106,15 @@ class KVCacheManager
      *  the pool, counting pages it already owns or shares. */
     bool canHold(RequestId seq, int64_t tokens) const;
 
-    /** Acquires pages so `seq` owns at least `tokens` positions. Throws
-     *  RuntimeError when the pool cannot hold them — callers are
-     *  expected to check canHold() and queue/evict instead. */
+    /**
+     * Acquires pages so `seq` owns at least `tokens` positions, the
+     * capacity the next compiled call scatters [committed, tokens) into.
+     * Throws RuntimeError when the pool cannot hold them — callers are
+     * expected to check canHold() and queue/evict instead — and
+     * InternalError when a page covering [committed, tokens) is shared:
+     * shared pages are immutable (see the file comment).
+     */
     void reserve(RequestId seq, int64_t tokens);
-
-    /**
-     * canHold() plus the copy-on-write requirement: growing `seq` to
-     * `tokens` positions AND exclusively owning every page in the write
-     * range [writeStart, tokens) must fit the free list (each shared
-     * page in the range costs one fresh page to copy into).
-     */
-    bool canHoldWrite(RequestId seq, int64_t tokens,
-                      int64_t writeStart) const;
-
-    /**
-     * reserve() plus copy-on-write: after this call `seq` holds
-     * capacity for `tokens` positions and every page covering
-     * [writeStart, tokens) has refcount 1 for `seq` — shared pages are
-     * copied to fresh ones on the device (a priced page-sized copy) and
-     * repointed. The compiled call may then scatter into the pool.
-     */
-    void reserveWrite(RequestId seq, int64_t tokens, int64_t writeStart);
 
     /** Drops every page reference held by `seq` (no-op for unknown
      *  ids); pages return to the free list when unreferenced. */
@@ -139,50 +127,25 @@ class KVCacheManager
      * release() would), the committed length rewinds inside the last
      * retained page, and reserved capacity shrinks to the retained
      * pages. Prefix-index entries for retained pages whose block is no
-     * longer fully committed are dropped when `seq` is their sole owner:
-     * the rewound positions will be rewritten in place, so the entry's
-     * token snapshot would otherwise diverge from the pool content and a
-     * later matchPrefix() could serve rejected-draft K/V. Shared pages
-     * keep their entries — copy-on-write repoints this writer before the
-     * page can change. Returns the number of page references dropped.
+     * longer fully committed are dropped: the rewound positions will be
+     * rewritten in place, so the entry's token snapshot would otherwise
+     * diverge from the pool content and a later matchPrefix() could
+     * serve rejected-draft K/V. (Rewinding into a page that is still
+     * shared is allowed; writing it is not — reserve() refuses.)
+     * Returns the number of page references dropped.
      * No-op (returns 0) for unknown ids or when nothing exceeds
      * `tokens`.
      */
     int64_t truncate(RequestId seq, int64_t tokens);
 
     /**
-     * Opens a copy-on-write pricing batch: until flushCowBatch(), page
-     * copies made by reserveWrite() keep copying data eagerly but defer
-     * their device cost into one accumulated burst. The engine brackets
-     * each step's ensureWritable sweep with this so b sequences COW-ing
-     * in one step price one cudaMemcpyAsync-burst-shaped launch instead
-     * of b independent ones. Without an open batch copyPage prices each
-     * copy immediately (the historical behavior, kept for direct
-     * callers).
-     */
-    void beginCowBatch();
-
-    /** Closes the batch, pricing all deferred copies as one launch
-     *  (`kv.cow_copy_burst`). Returns the number of pages flushed. */
-    int64_t flushCowBatch();
-
-    /**
-     * Maps `child` (which must hold no pages) onto the pages backing the
-     * first `tokens` committed positions of `parent`: refcounts rise, no
-     * data moves, and `child`'s committed length becomes `tokens`.
-     * Clamped to parent's committed length; a no-op (child stays
-     * unknown) when the parent is unknown or the clamp reaches zero.
-     */
-    void fork(RequestId parent, RequestId child, int64_t tokens);
-
-    /**
-     * Undoes a speculative fork whose admission fell through before any
+     * Undoes a matchPrefix() hit whose admission fell through before any
      * reservation: drops `child`'s references like release() and takes
-     * the fork (and a matchPrefix() hit with its tokens) back out of the
-     * statistics, so they report only forks that actually admitted. No-op
-     * when `child` is unknown (including forks that degraded to no-ops).
+     * the hit and its tokens back out of the statistics, so they report
+     * only matches that actually admitted. No-op when `child` is unknown
+     * (including probes that matched nothing).
      */
-    void dropFork(RequestId child);
+    void dropMatch(RequestId child);
 
     /**
      * Automatic prefix caching — the detection half: walks `tokens`
@@ -196,8 +159,7 @@ class KVCacheManager
      * always prefills at least one token itself (the position producing
      * its first logits). Returns the matched token count (a multiple of
      * blockTokens(), 0 when nothing matched); on a match the child's
-     * committed length equals the return value and forkCount() rises,
-     * exactly as an explicit fork() would.
+     * committed length equals the return value and prefixHits() rises.
      */
     int64_t matchPrefix(RequestId child, const std::vector<int64_t>& tokens);
 
@@ -207,9 +169,10 @@ class KVCacheManager
      * prefix of `tokens` in the hash→page index (chained hash over the
      * block's token content, seeded by the previous block's hash).
      * Pages already indexed (e.g. mapped from a parent by matchPrefix)
-     * only advance the chain. Full committed pages are immutable while
-     * live — copy-on-write repoints writers, and release() drops index
-     * entries with the page — so registrations never go stale. Call
+     * only advance the chain. Full committed pages are never written
+     * again, truncate() drops the entries of pages it rewinds into, and
+     * release() drops them with the page — so registrations never go
+     * stale. Call
      * after committing a prefill; no-op for unknown ids.
      */
     void registerCommitted(RequestId seq, const std::vector<int64_t>& tokens);
@@ -274,12 +237,9 @@ class KVCacheManager
 
     // --- sharing statistics (read from the registry) -----------------------
 
-    /** fork() / matchPrefix() calls that actually mapped shared pages. */
-    int64_t forkCount() const { return forks_.value(); }
-    /** Copy-on-write page copies performed (device-priced). */
-    int64_t cowCopies() const { return cowCopies_.value(); }
-    /** Device bytes moved by copy-on-write page copies. */
-    int64_t cowBytes() const { return cowCopies() * bytesPerBlock_; }
+    /** Page copies made to unshare a page: always 0, since shared pages
+     *  are never written (kept for readers that report it). */
+    int64_t cowCopies() const { return 0; }
     /** truncate() calls that dropped at least one page or rewound the
      *  committed length. */
     int64_t truncateCount() const { return truncates_.value(); }
@@ -299,7 +259,7 @@ class KVCacheManager
         /** Chained content hash of each registered/matched full block
          *  (registration progress of the prefix-caching index). */
         std::vector<uint64_t> blockHashes;
-        /** Positions matchPrefix() mapped (what dropFork() takes back). */
+        /** Positions matchPrefix() mapped (what dropMatch() takes back). */
         int64_t matched = 0;
     };
     /** One registered block: the page holding it, the page holding the
@@ -314,10 +274,6 @@ class KVCacheManager
 
     /** Pops a free page (throws RuntimeError when the pool is empty). */
     int64_t acquirePage();
-    /** Device-side page copy (all layers, k+v): prices one page-sized
-     *  read+write on the simulated clock and copies pool data rows in
-     *  data mode. */
-    void copyPage(int64_t src, int64_t dst);
     /** Chained block hash (test hook aware). */
     uint64_t hashBlock(uint64_t prev, const int64_t* tokens,
                        int64_t count) const;
@@ -335,13 +291,9 @@ class KVCacheManager
     int64_t totalBlocks_;
     int64_t peakBlocks_ = 0;
     // The sharing statistics' only store, in the caller's registry.
-    Counter& forks_;
-    Counter& cowCopies_;
     Counter& truncates_;
     Counter& prefixHits_;
     Counter& prefixTokensMatched_;
-    bool cowBatchActive_ = false;   //!< inside begin/flushCowBatch()
-    int64_t cowBatchPages_ = 0;     //!< copies deferred in the open batch
     /** [shard][layer-k/v] pool tensors, [p, h/N, block, d] each. */
     std::vector<std::vector<NDArray>> pools_;
     std::vector<int64_t> freePages_;  //!< LIFO of unreferenced page ids

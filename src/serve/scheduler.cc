@@ -57,9 +57,7 @@ Scheduler::admit(KVCacheManager& kv, int64_t runningCount)
         // duplicates itself (re-admissions after eviction re-match the
         // same way, against whatever is still indexed). Undone below
         // when the candidate does not fit after all.
-        if (kv.committedTokens(seq->request.id) == 0) {
-            kv.matchPrefix(seq->request.id, seq->prefillTokens());
-        }
+        kv.matchPrefix(seq->request.id, seq->prefillTokens());
         int64_t fresh = tokens - kv.committedTokens(seq->request.id);
         // A prompt above the per-step cap still admits into an idle
         // system — the cap bounds bursts, it must not strand requests.
@@ -73,7 +71,7 @@ Scheduler::admit(KVCacheManager& kv, int64_t runningCount)
         // Stop at the first misfit: admitting someone behind a blocked
         // head would starve large requests under memory pressure.
         if (!fits) {
-            kv.dropFork(seq->request.id); // undo a speculative fork
+            kv.dropMatch(seq->request.id); // undo the probe's match
             break;
         }
         kv.reserve(seq->request.id, tokens);

@@ -7,7 +7,7 @@
  * and updated at event sites; unlike tracing, metrics are always on —
  * every update is one arithmetic op, cheap enough for the hot path.
  *
- *  - Counter: int64 event count (evictions, COW copies, prefix hits, ...).
+ *  - Counter: int64 event count (evictions, prefix hits, truncates, ...).
  *  - Gauge: last/min/max/mean of a sampled value (KV pool occupancy and
  *    free pages per step, replay hit-rate, ...).
  *  - Histogram: full value retention with exact percentiles (TTFT and
@@ -33,7 +33,7 @@
 
 namespace relax {
 
-/** Event count; only a rollback (KVCacheManager::dropFork) subtracts. */
+/** Event count; only a rollback (KVCacheManager::dropMatch) subtracts. */
 class Counter
 {
   public:
@@ -102,7 +102,7 @@ class Histogram
 
 /**
  * Named metrics, created on first use. Names are dotted paths
- * ("serve.ttft_us", "kv.cow_copies"); the maps are ordered so JSON
+ * ("serve.ttft_us", "kv.prefix_hits"); the maps are ordered so JSON
  * snapshots are deterministic.
  */
 class MetricsRegistry

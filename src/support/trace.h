@@ -11,7 +11,7 @@
  *    spans flagged capture vs replay, with the bucketed signature;
  *  - engine lane: step spans (mixed vs pure-decode), per-request
  *    lifecycle events keyed by request id (arrival→finish async spans,
- *    admission/first-token/eviction/prefix-hit/COW instants), scheduler
+ *    admission/first-token/eviction/prefix-hit/truncate instants), scheduler
  *    queue depth, and KV pool occupancy counters sampled per step.
  *
  * The recorder is DISABLED by default and every emission site guards on

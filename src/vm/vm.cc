@@ -249,6 +249,8 @@ struct Executor
     void execAllocStorage(const Instr& instr, Frame& frame,
                           const std::string& fn);
     void execAllocTensor(const Instr& instr, Frame& frame);
+    /** Takes `bytes` from the runtime pool for this frame's lifetime. */
+    void allocPooled(int64_t bytes, Frame& frame);
     void execKernelCall(const Instr& instr, Frame& frame);
     void execPackedCall(const Instr& instr, Frame& frame);
 };
@@ -613,6 +615,21 @@ Executor::execMatchShape(const Instr& instr, Frame& frame,
 }
 
 void
+Executor::allocPooled(int64_t bytes, Frame& frame)
+{
+    // Exact-size reuse: a free block of the same size is taken back from
+    // the pool; otherwise the device allocates. finishFrame() returns
+    // every block recorded here when the frame ends.
+    auto pool_it = freePool_.find(bytes);
+    if (pool_it != freePool_.end() && pool_it->second > 0) {
+        pool_it->second -= 1;
+    } else {
+        device_->alloc(bytes);
+    }
+    frame.pooledBytes.push_back(bytes);
+}
+
+void
 Executor::execAllocStorage(const Instr& instr, Frame& frame,
                                  const std::string& fn)
 {
@@ -634,14 +651,8 @@ Executor::execAllocStorage(const Instr& instr, Frame& frame,
         return;
     }
     bytes = evalInt(instr.sizeExpr, frame.symbols);
-    // Dynamic storage: served by the runtime pool (exact-size reuse).
-    auto pool_it = freePool_.find(bytes);
-    if (pool_it != freePool_.end() && pool_it->second > 0) {
-        pool_it->second -= 1;
-    } else {
-        device_->alloc(bytes);
-    }
-    frame.pooledBytes.push_back(bytes);
+    // Dynamic storage: served by the runtime pool.
+    allocPooled(bytes, frame);
     auto storage = std::make_shared<Storage>();
     storage->bytes = bytes;
     frame.regs[instr.dst] = storage;
@@ -659,14 +670,7 @@ Executor::execAllocTensor(const Instr& instr, Frame& frame)
         // No storage operand: direct runtime allocation (unplanned path).
         NDArray tensor = dataMode_ ? NDArray::zeros(shape, instr.dtype)
                                    : NDArray::metaOnly(shape, instr.dtype);
-        int64_t bytes = tensor.sizeBytes();
-        auto pool_it = freePool_.find(bytes);
-        if (pool_it != freePool_.end() && pool_it->second > 0) {
-            pool_it->second -= 1;
-        } else {
-            device_->alloc(bytes);
-        }
-        frame.pooledBytes.push_back(bytes);
+        allocPooled(tensor.sizeBytes(), frame);
         frame.regs[instr.dst] = tensor;
         return;
     }
@@ -773,13 +777,7 @@ Executor::execKernelCall(const Instr& instr, Frame& frame)
     kernel_cost.bytes = (double)evalInt(cost.bytes, *priced);
     kernel_cost.efficiency = generatedKernelEfficiency(
         cost, func, *priced, device_->spec());
-    double latency =
-        device_->launchKernel(kernel_cost, instr.callee.c_str());
-    if (getenv("RELAX_DEBUG_KERNELS") && latency > 1000.0) {
-        fprintf(stderr, "SLOW %s: %.2f ms flops=%.3g bytes=%.3g eff=%.2f\n",
-                instr.callee.c_str(), latency / 1e3, kernel_cost.flops,
-                kernel_cost.bytes, kernel_cost.efficiency);
-    }
+    device_->launchKernel(kernel_cost, instr.callee.c_str());
     if (dataMode_) {
         tir::run(func, args, sym_args);
         if (alias_check) {

@@ -8,7 +8,7 @@
  * outputs and projections in the may-alias lattice, symbolic-size
  * equality reuse agreeing with the alias facts, a candidate var still
  * live past the call site (must not rewrite), a non-donated pool
- * parameter standing in for a COW-shared page pool (must not rewrite),
+ * parameter standing in for a shared page pool (must not rewrite),
  * automatic rediscovery of the frontend's KV-append sites, and the
  * alloc-shrink of captured decode regions.
  */
@@ -210,8 +210,8 @@ TEST(AliasAnalysisTest, ShapeMismatchAndConstantsAreNeverRewritten)
 TEST(AliasAnalysisTest, NonDonatedPoolParamIsPinned)
 {
     // A page-pool append whose pool argument is a function parameter:
-    // without donation the storage may be COW-shared with forked
-    // sequences (or owned by the caller outright), so the planner must
+    // without donation the storage may be shared with other holders
+    // (or owned by the caller outright), so the planner must
     // not write through it. With the frontend's donation attr the same
     // site is rewritten.
     auto build = [](bool donate) {

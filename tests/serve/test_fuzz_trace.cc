@@ -21,15 +21,18 @@
  * sharding may not change a single token either. Structural
  * invariants ride along: decode calls == steps on every trace (mixed
  * prefill+decode steps never split into extra calls, and draft calls
- * are tallied separately), relayoutBytes == 0, and prompt-prefix
- * duplicates must hit the hash index with no fork hint from the driver.
+ * are tallied separately), relayoutBytes == 0, prompt-prefix
+ * duplicates must hit the hash index with no hint from the driver, and
+ * no page leaks: after every run both the target and the draft pool
+ * hold no page and index no block.
  *
  * The (tp, k) grid is split into six test shards, one per pair, that
  * `ctest -j` runs in parallel; each replays the same seeds with replay
  * on and off and checks the coverage aggregates its axes can reach.
  * Seed count defaults to 40 (6–12 s per shard, about 60 s of CPU in all,
  * in the default RelWithDebInfo build on a 4-core x86 container); set
- * RELAX_FUZZ_SEEDS for the scheduled soak (the cron workflow runs 2000).
+ * RELAX_FUZZ_SEEDS for the scheduled soak (the nightly CI job runs 400,
+ * which keeps the slowest shard inside CTest's 300 s per-test timeout).
  */
 #include <gtest/gtest.h>
 
@@ -199,7 +202,7 @@ drawScenario(std::mt19937& rng, const LlamaConfig& config)
         if (i > 0 && rng() % 3 == 0) {
             // Duplicate prompt prefix: repeat an earlier request's
             // prompt and extend it with a short suffix. There is no
-            // fork hint anywhere — automatic prefix caching must find
+            // sharing hint anywhere — automatic prefix caching must find
             // the shared pages itself whenever the twin's blocks are
             // still resident, and tokens must match regardless.
             request.dupOf = draw(0, i - 1);
@@ -417,6 +420,16 @@ TEST_P(FuzzTraceTest, BatchedEngineMatchesSequentialOracle)
             } else {
                 // Graph offload disabled: capture must never engage.
                 EXPECT_EQ(engine.machine().graphStats().begins, 0);
+            }
+            // No page leaked: once every request finished, both pools
+            // hold no page and index no block.
+            EXPECT_EQ(engine.kv().usedPages(), 0) << "seed=" << seed;
+            EXPECT_EQ(engine.kv().indexedBlocks(), 0) << "seed=" << seed;
+            if (engine.draftKv() != nullptr) {
+                EXPECT_EQ(engine.draftKv()->usedPages(), 0)
+                    << "seed=" << seed;
+                EXPECT_EQ(engine.draftKv()->indexedBlocks(), 0)
+                    << "seed=" << seed;
             }
             total_evictions += engine.stats().evictions;
             total_prefix_hits += engine.kv().prefixHits();

@@ -1,8 +1,9 @@
 /**
  * @file
  * KVCacheManager tests: page-pool geometry, the resident upfront pool
- * allocation, the reserve/fork/copy-on-write/release page lifecycle,
- * budget enforcement, and that the byte accounting always matches pool
+ * allocation, the reserve/match/truncate/release page lifecycle, the
+ * one sharing rule (a page with refcount > 1 is never written), budget
+ * enforcement, and that the byte accounting always matches pool
  * occupancy (used + free pages == the whole pool).
  */
 #include <gtest/gtest.h>
@@ -172,120 +173,7 @@ TEST(KVCacheTest, RaggedViewsExposeLengthsAndBlockTable)
     EXPECT_EQ((int64_t)table.at(5), -1);
 }
 
-TEST(KVCacheTest, ForkSharesPagesByRefcount)
-{
-    Fixture fx;
-    KVCacheManager kv(fx.config, {&fx.machine}, 64 * 4 * 8, 4, fx.metrics);
-    kv.reserve(1, 8); // pages 0, 1
-    kv.commit(1, 7);
-
-    // Child maps onto the pages of the parent's first 6 committed
-    // positions: both pages shared, zero new pages in use.
-    kv.fork(1, 2, 6);
-    EXPECT_EQ(kv.forkCount(), 1);
-    EXPECT_EQ(kv.usedPages(), 2);
-    EXPECT_EQ(kv.pagesOf(2), 2);
-    EXPECT_EQ(kv.committedTokens(2), 6);
-    NDArray table = kv.blockTableView({1, 2}, 2);
-    EXPECT_EQ((int64_t)table.at(0), (int64_t)table.at(2));
-    EXPECT_EQ((int64_t)table.at(1), (int64_t)table.at(3));
-
-    // Fork clamps to the parent's committed positions.
-    kv.fork(1, 3, 100);
-    EXPECT_EQ(kv.committedTokens(3), 7);
-
-    // Releasing the parent keeps shared pages alive for the children.
-    kv.release(1);
-    EXPECT_EQ(kv.usedPages(), 2);
-    kv.release(2);
-    EXPECT_EQ(kv.usedPages(), 2); // seq 3 still references both
-    kv.release(3);
-    EXPECT_EQ(kv.usedPages(), 0);
-
-    // Forking from an unknown parent is a no-op (graceful degradation).
-    kv.fork(42, 5, 4);
-    EXPECT_EQ(kv.pagesOf(5), 0);
-    EXPECT_EQ(kv.forkCount(), 2);
-}
-
-TEST(KVCacheTest, CopyOnWriteUnsharesTheWriteRange)
-{
-    Fixture fx;
-    KVCacheManager kv(fx.config, {&fx.machine}, 64 * 4 * 8, 4, fx.metrics);
-    kv.reserve(1, 6); // pages 0, 1; position 5 is mid-page
-    kv.commit(1, 6);
-    // Poison page 1 so the copy is observable: pool row of page 1.
-    NDArray pool = kv.poolTensors()[0];
-    int64_t row = pool.numel() / kv.totalPages();
-    for (int64_t i = 0; i < row; ++i) pool.set(1 * row + i, 42.0);
-
-    kv.fork(1, 2, 6); // two children share pages 0 and 1
-    kv.fork(1, 3, 6); // (partial last page in both forks)
-    int64_t launches_before = fx.dev->kernelLaunches();
-
-    // The parent's next append writes position 6 inside shared page 1:
-    // copy-on-write gives the writer a private copy, priced on the
-    // device clock, and repoints only the writer's table row.
-    EXPECT_TRUE(kv.canHoldWrite(1, 7, 6));
-    kv.reserveWrite(1, 7, 6);
-    EXPECT_EQ(kv.cowCopies(), 1);
-    EXPECT_EQ(kv.cowBytes(), kv.bytesPerBlock());
-    EXPECT_EQ(fx.dev->kernelLaunches(), launches_before + 1);
-    EXPECT_EQ(kv.usedPages(), 3); // page 0 (shared), page 1, the copy
-
-    NDArray parent_table = kv.blockTableView({1}, 2);
-    NDArray child_table = kv.blockTableView({2}, 2);
-    EXPECT_EQ((int64_t)parent_table.at(0), (int64_t)child_table.at(0));
-    int64_t copied = (int64_t)parent_table.at(1);
-    EXPECT_NE(copied, (int64_t)child_table.at(1));
-    // The copy carried the page contents (data mode).
-    for (int64_t i = 0; i < row; ++i) {
-        EXPECT_EQ(pool.at(copied * row + i), 42.0) << "element " << i;
-    }
-
-    // Writing an exclusively-owned range never copies.
-    kv.reserveWrite(1, 8, 7);
-    EXPECT_EQ(kv.cowCopies(), 1);
-
-    // The first child's write still hits a page shared with the second
-    // child: it copies too...
-    kv.reserveWrite(2, 7, 6);
-    EXPECT_EQ(kv.cowCopies(), 2);
-    EXPECT_EQ(kv.usedPages(), 4);
-    // ...after which the second child owns the original page alone and
-    // writes without copying (refcounts transferred all the way down).
-    kv.reserveWrite(3, 7, 6);
-    EXPECT_EQ(kv.cowCopies(), 2);
-}
-
-TEST(KVCacheTest, CanHoldWriteCountsCowPages)
-{
-    Fixture fx;
-    // Pool of exactly 3 pages.
-    KVCacheManager kv(fx.config, {&fx.machine}, 64 * 4 * 3, 4, fx.metrics);
-    kv.reserve(1, 8); // pages 0, 1
-    kv.commit(1, 6);
-    kv.fork(1, 2, 6); // both pages shared; 1 page free
-    kv.reserve(3, 4); // takes the last free page
-    // The parent's write at position 6 needs one COW page, and none is
-    // free — canHoldWrite must say so instead of letting reserveWrite
-    // run the pool dry mid-copy.
-    EXPECT_FALSE(kv.canHoldWrite(1, 7, 6));
-    EXPECT_THROW(kv.reserveWrite(1, 7, 6), RuntimeError);
-    EXPECT_EQ(kv.cowCopies(), 0);
-    kv.release(3); // a page frees up: the same write now fits
-    EXPECT_TRUE(kv.canHoldWrite(1, 7, 6));
-    kv.reserveWrite(1, 7, 6);
-    EXPECT_EQ(kv.cowCopies(), 1);
-    EXPECT_EQ(kv.freePages(), 0);
-    // The COW repointed the parent, so the child now owns its last page
-    // exclusively: its own write needs no pages even with none free.
-    EXPECT_TRUE(kv.canHoldWrite(2, 7, 6));
-    kv.reserveWrite(2, 7, 6);
-    EXPECT_EQ(kv.cowCopies(), 1);
-}
-
-TEST(KVCacheTest, PrefixIndexLifecycleMatchForkThenCowOnDivergence)
+TEST(KVCacheTest, PrefixIndexLifecycleMatchThenDivergeOnAFreshPage)
 {
     Fixture fx;
     KVCacheManager kv(fx.config, {&fx.machine}, 64 * 4 * 8, 4, fx.metrics);
@@ -306,14 +194,13 @@ TEST(KVCacheTest, PrefixIndexLifecycleMatchForkThenCowOnDivergence)
     EXPECT_EQ(kv.indexedBlocks(), 2);
 
     // A duplicate prompt with a fresh tail matches both blocks and maps
-    // straight onto seq 1's pages — a fork in refcount terms, no copies.
+    // straight onto seq 1's pages — refcounts rise, no copies.
     std::vector<int64_t> duplicate = prompt;
     duplicate.push_back(8);
     EXPECT_EQ(kv.matchPrefix(2, duplicate), 8);
     EXPECT_EQ(kv.committedTokens(2), 8);
     EXPECT_EQ(kv.pagesOf(2), 2);
     EXPECT_EQ(kv.usedPages(), 2); // fully shared
-    EXPECT_EQ(kv.forkCount(), 1);
     EXPECT_EQ(kv.prefixHits(), 1);
     EXPECT_EQ(kv.prefixTokensMatched(), 8);
     NDArray tables = kv.blockTableView({1, 2}, 2);
@@ -325,15 +212,17 @@ TEST(KVCacheTest, PrefixIndexLifecycleMatchForkThenCowOnDivergence)
     EXPECT_EQ(kv.matchPrefix(3, prompt), 4);
     EXPECT_EQ(kv.prefixTokensMatched(), 12);
 
-    // Divergence inside a shared block (the COW safety net): a write
-    // into matched page 0 copies it for the writer and leaves the other
-    // holders' tables untouched.
-    int64_t shared_page = (int64_t)tables.at(0);
-    kv.reserveWrite(2, 4, 2);
-    EXPECT_EQ(kv.cowCopies(), 1);
-    NDArray after = kv.blockTableView({1, 2}, 2);
-    EXPECT_EQ((int64_t)after.at(0), shared_page);
-    EXPECT_NE((int64_t)after.at(2), shared_page);
+    // Divergence starts past the matched blocks: the duplicate's fresh
+    // tail lands on a page of its own, and the shared pages stay as they
+    // were for every holder.
+    kv.reserve(2, 9);
+    EXPECT_EQ(kv.pagesOf(2), 3);
+    EXPECT_EQ(kv.usedPages(), 3);
+    NDArray after = kv.blockTableView({1, 2}, 3);
+    EXPECT_EQ((int64_t)after.at(0), (int64_t)after.at(3));
+    EXPECT_EQ((int64_t)after.at(1), (int64_t)after.at(4));
+    EXPECT_NE((int64_t)after.at(5), (int64_t)after.at(0));
+    EXPECT_NE((int64_t)after.at(5), (int64_t)after.at(1));
     kv.release(1);
     kv.release(2);
     kv.release(3);
@@ -355,14 +244,12 @@ TEST(KVCacheTest, DroppedMatchLeavesNoStatistic)
     duplicate.push_back(8);
 
     EXPECT_EQ(kv.matchPrefix(2, duplicate), 8);
-    kv.dropFork(2);
-    EXPECT_EQ(kv.forkCount(), 0);
+    kv.dropMatch(2);
     EXPECT_EQ(kv.prefixHits(), 0);
     EXPECT_EQ(kv.prefixTokensMatched(), 0);
 
     EXPECT_EQ(kv.matchPrefix(2, duplicate), 8);
     kv.reserve(2, 9);
-    EXPECT_EQ(kv.forkCount(), 1);
     EXPECT_EQ(kv.prefixHits(), 1);
     EXPECT_EQ(kv.prefixTokensMatched(), 8);
     // The accessors read the registry the manager was given.
@@ -548,17 +435,19 @@ TEST(KVCacheTest, TruncateDropsStaleIndexEntriesBeforeReMatching)
     EXPECT_EQ(kv.matchPrefix(2, probe), 4); // block 0 only
     kv.release(2);
 
-    // Shared pages keep their entries: re-register, let a child map both
-    // blocks, then rewind the registrant again. Copy-on-write repoints
-    // the rewinder to a private page before it can write, so the shared
-    // original (and its index entry) stays valid for everyone else.
+    // A shared page loses its entry the same way: re-register, let a
+    // child map both blocks, then rewind the registrant again. The child
+    // keeps the page (its content is unchanged, and reserve() refuses
+    // any write to it while it is shared), but no later probe is offered
+    // a page its registrant has rewound into.
     kv.commit(1, 8);
     kv.registerCommitted(1, prompt);
     EXPECT_EQ(kv.indexedBlocks(), 2);
     EXPECT_EQ(kv.matchPrefix(3, probe), 8);
     EXPECT_EQ(kv.truncate(1, 5), 0);
-    EXPECT_EQ(kv.indexedBlocks(), 2);
-    EXPECT_EQ(kv.matchPrefix(4, probe), 8);
+    EXPECT_EQ(kv.indexedBlocks(), 1);
+    EXPECT_EQ(kv.pagesOf(3), 2);
+    EXPECT_EQ(kv.matchPrefix(4, probe), 4);
 
     kv.setBlockHashForTest(nullptr);
     kv.release(1);
@@ -568,46 +457,42 @@ TEST(KVCacheTest, TruncateDropsStaleIndexEntriesBeforeReMatching)
     EXPECT_EQ(kv.indexedBlocks(), 0);
 }
 
-TEST(KVCacheTest, CowBatchPricesOneBurstLaunch)
+TEST(KVCacheTest, SharedPagesAreNeverWritten)
 {
-    // One engine step can trigger several copy-on-write page copies (one
-    // per diverging writer). Inside a begin/flush bracket the data still
-    // moves eagerly, but the device is charged ONE burst launch for the
-    // whole sweep — the cudaMemcpyAsync-batch shape — instead of one
-    // launch per page.
+    // The one sharing rule, checked: rewind a prefix-matched sharer into
+    // a page it still shares and ask for write capacity there. The write
+    // would change the other holder's K/V, so reserve() refuses with an
+    // InternalError and leaves every block table as it was.
     Fixture fx;
     KVCacheManager kv(fx.config, {&fx.machine}, 64 * 4 * 8, 4, fx.metrics);
-    kv.reserve(1, 6); // pages 0, 1; position 5 mid-page
-    kv.commit(1, 6);
-    NDArray pool = kv.poolTensors()[0];
-    int64_t row = pool.numel() / kv.totalPages();
-    for (int64_t i = 0; i < row; ++i) pool.set(1 * row + i, 42.0);
-    kv.fork(1, 2, 6);
-    kv.fork(1, 3, 6);
+    std::vector<int64_t> prompt = {3, 1, 4, 1, 5, 9, 2, 6};
+    kv.reserve(1, 8);
+    kv.commit(1, 8);
+    kv.registerCommitted(1, prompt);
+    std::vector<int64_t> duplicate = prompt;
+    duplicate.push_back(8);
+    ASSERT_EQ(kv.matchPrefix(2, duplicate), 8); // shares pages 0 and 1
 
-    int64_t launches_before = fx.dev->kernelLaunches();
-    kv.beginCowBatch();
-    kv.reserveWrite(1, 7, 6); // COW of page 1 (three-way shared)
-    kv.reserveWrite(2, 7, 6); // COW of the original (still shared with 3)
-    EXPECT_EQ(kv.cowCopies(), 2);
-    EXPECT_EQ(kv.cowBytes(), 2 * kv.bytesPerBlock());
-    // Pricing is deferred until the flush...
-    EXPECT_EQ(fx.dev->kernelLaunches(), launches_before);
-    EXPECT_EQ(kv.flushCowBatch(), 2);
-    // ...which issues exactly one launch for both pages.
-    EXPECT_EQ(fx.dev->kernelLaunches(), launches_before + 1);
-
-    // The copies carried the page contents despite deferred pricing.
-    NDArray parent_table = kv.blockTableView({1}, 2);
-    int64_t copied = (int64_t)parent_table.at(1);
-    for (int64_t i = 0; i < row; ++i) {
-        EXPECT_EQ(pool.at(copied * row + i), 42.0) << "element " << i;
+    EXPECT_EQ(kv.truncate(2, 5), 0); // rewinds into shared page 1
+    NDArray before = kv.blockTableView({1, 2}, 2);
+    EXPECT_THROW(kv.reserve(2, 6), InternalError);
+    NDArray after = kv.blockTableView({1, 2}, 2);
+    for (int64_t i = 0; i < 4; ++i) {
+        EXPECT_EQ((int64_t)after.at(i), (int64_t)before.at(i))
+            << "entry " << i;
     }
+    EXPECT_EQ((int64_t)after.at(1), (int64_t)after.at(3)); // still shared
+    EXPECT_EQ(kv.usedPages(), 2);
+    EXPECT_EQ(kv.reservedTokens(2), 8);
 
-    // An empty batch flushes to nothing — no phantom launch.
-    kv.beginCowBatch();
-    EXPECT_EQ(kv.flushCowBatch(), 0);
-    EXPECT_EQ(fx.dev->kernelLaunches(), launches_before + 1);
+    // The registrant writes past the shared blocks on a fresh page.
+    kv.reserve(1, 9);
+    EXPECT_EQ(kv.usedPages(), 3);
+    // Once the sharer is the page's only holder, the same write is
+    // allowed: the rule is about refcount, not about a page's history.
+    kv.release(1);
+    kv.reserve(2, 6);
+    EXPECT_EQ(kv.pagesOf(2), 2);
 }
 
 TEST(KVCacheTest, DestructorReturnsThePool)
