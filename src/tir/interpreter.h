@@ -1,14 +1,22 @@
 /**
  * @file
- * Reference interpreter for tensor programs. Stands in for the paper's GPU
+ * Reference executor for tensor programs. Stands in for the paper's GPU
  * code generation layer: every transformation in the compiler can be
  * validated against it, which is exactly the role ground-truth codegen
  * plays in the TVM artifact.
+ *
+ * A PrimFunc is lowered once into a slot program: every variable becomes
+ * a scalar slot, every buffer a buffer slot (data pointer plus shape),
+ * every intrinsic an opcode, and statements and expressions one flat
+ * instruction array with jumps. Executing it does no hash lookup and no
+ * per-access allocation. The semantics are the reference semantics:
+ * every value is a double (integer casts truncate, integer floordiv and
+ * floormod are Euclidean), and every buffer index is bounds-checked.
  */
 #ifndef RELAX_TIR_INTERPRETER_H_
 #define RELAX_TIR_INTERPRETER_H_
 
-#include <unordered_map>
+#include <memory>
 #include <vector>
 
 #include "arith/substitute.h"
@@ -19,7 +27,29 @@ namespace relax {
 namespace tir {
 
 /**
- * Executes a tensor program in destination-passing style.
+ * A tensor program lowered for execution (see the file comment).
+ * Immutable, so one program serves any number of calls; it keeps the
+ * symbolic variables it binds alive but holds no reference to its
+ * PrimFunc.
+ */
+class SlotProgram;
+
+/** Lowers `func` into a slot program. */
+std::shared_ptr<const SlotProgram> lower(const PrimFunc& func);
+
+/**
+ * Executes a lowered program in destination-passing style.
+ *
+ * @param program The result of lower(func).
+ * @param args One NDArray per buffer parameter of func, outputs included.
+ * @param binding What bindShapes(func, args, sym_args) returned.
+ */
+void execute(const SlotProgram& program, const std::vector<NDArray>& args,
+             const VarBinding& binding);
+
+/**
+ * Executes a tensor program in destination-passing style: binds shapes,
+ * lowers, then executes.
  *
  * @param func The program to run.
  * @param args One NDArray per buffer parameter, outputs included (DPS).

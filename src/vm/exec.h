@@ -16,6 +16,7 @@
 
 #include "ir/module.h"
 #include "tir/analysis.h"
+#include "tir/interpreter.h"
 
 namespace relax {
 namespace vm {
@@ -102,12 +103,18 @@ struct VMFunction
     std::vector<Instr> instrs;
 };
 
-/** Symbolic roofline cost of one generated kernel (timing mode). */
-struct KernelCostExprs
+/**
+ * What the VM derives from one generated kernel, each part on first need:
+ * its symbolic roofline cost (priced on every launch) and its lowered
+ * slot program (run on every data-mode launch).
+ */
+struct KernelEntry
 {
     PrimExpr flops;
     PrimExpr bytes;
     tir::PatternKind kind;
+    /** Null until the kernel's first data-mode launch. */
+    std::shared_ptr<const tir::SlotProgram> program;
 };
 
 /** A compiled module: functions plus the tensor programs they launch. */
@@ -115,14 +122,14 @@ class Executable
 {
   public:
     std::map<std::string, VMFunction> functions;
-    /** Kernel bodies (interpreted as the stand-in for GPU codegen). */
+    /** Kernel bodies (lowered to slot programs: the GPU codegen stand-in). */
     ir::IRModulePtr module;
     /**
-     * Cost expressions of `module`'s kernels, derived by the VM on first
-     * launch. Keyed by node: `module` owns every key, so the cache lives
-     * and dies with the kernels it describes.
+     * One entry per generated kernel launched so far. Keyed by node:
+     * `module` owns every key, so the cache lives and dies with the
+     * kernels it describes, and no entry keeps a kernel alive.
      */
-    std::map<const tir::PrimFuncNode*, KernelCostExprs> kernelCosts;
+    std::map<const tir::PrimFuncNode*, KernelEntry> kernels;
 };
 
 using ExecutablePtr = std::shared_ptr<Executable>;

@@ -3,7 +3,7 @@
  * The virtual machine: the library-kernel registry, the per-instruction
  * executors (MatchShape / AllocStorage / AllocTensor / KernelCall /
  * PackedCall), and the timing-mode path that prices generated kernels
- * on the device roofline (costExprsOf + generatedKernelEfficiency).
+ * on the device roofline (kernelEntry + generatedKernelEfficiency).
  */
 #include "vm/vm.h"
 #include <cstdlib>
@@ -178,11 +178,11 @@ padForPricing(const NDArray& array, std::vector<int64_t> padded_shape)
     return padded;
 }
 
-const KernelCostExprs&
-costExprsOf(Executable& exec, const tir::PrimFunc& func)
+/** The kernel's cache entry, its cost expressions derived on creation. */
+KernelEntry&
+kernelEntry(Executable& exec, const tir::PrimFunc& func)
 {
-    auto [it, inserted] =
-        exec.kernelCosts.emplace(func.get(), KernelCostExprs{});
+    auto [it, inserted] = exec.kernels.emplace(func.get(), KernelEntry{});
     if (inserted) {
         tir::TensorProgramCost cost = tir::analyzeCost(func);
         it->second.flops = cost.flops;
@@ -197,17 +197,17 @@ costExprsOf(Executable& exec, const tir::PrimFunc& func)
 
 /** Efficiency class of a generated kernel on the given device. */
 double
-generatedKernelEfficiency(const KernelCostExprs& cost,
+generatedKernelEfficiency(const KernelEntry& kernel,
                           const tir::PrimFunc& func,
                           const VarBinding& binding,
                           const device::DeviceSpec& spec)
 {
-    bool has_fma = cost.kind == tir::PatternKind::kOutputEwiseFusible;
+    bool has_fma = kernel.kind == tir::PatternKind::kOutputEwiseFusible;
     if (!has_fma) {
         // Fused kernels lose their single-op classification; detect a
         // matmul core by arithmetic intensity instead.
-        double flops = (double)evalInt(cost.flops, binding);
-        double bytes = (double)evalInt(cost.bytes, binding);
+        double flops = (double)evalInt(kernel.flops, binding);
+        double bytes = (double)evalInt(kernel.bytes, binding);
         has_fma = bytes > 0 && flops / bytes > 16.0;
     }
     if (!has_fma) return spec.genElemwiseEfficiency;
@@ -236,10 +236,10 @@ struct Executor
     // frame span in the vm lane.
     double graphStartTs_ = 0.0;
     bool graphReplay_ = false;
-    std::string graphSignature_;
+    std::string graphSignature_{};
     int64_t openGraphId_ = -1;
     /** The kRet value, once executed. */
-    Value result_;
+    Value result_{};
 
     /** Executes one instruction against the frame. */
     void step(const Instr& instr, Frame& frame, const std::string& fn);
@@ -771,17 +771,20 @@ Executor::execKernelCall(const Instr& instr, Frame& frame)
         }
         priced = &padded_binding;
     }
-    const KernelCostExprs& cost = costExprsOf(*exec, func);
+    KernelEntry& kernel = kernelEntry(*exec, func);
     device::KernelCost kernel_cost;
-    kernel_cost.flops = (double)evalInt(cost.flops, *priced);
-    kernel_cost.bytes = (double)evalInt(cost.bytes, *priced);
+    kernel_cost.flops = (double)evalInt(kernel.flops, *priced);
+    kernel_cost.bytes = (double)evalInt(kernel.bytes, *priced);
     kernel_cost.efficiency = generatedKernelEfficiency(
-        cost, func, *priced, device_->spec());
+        kernel, func, *priced, device_->spec());
     device_->launchKernel(kernel_cost, instr.callee.c_str());
     if (dataMode_) {
-        tir::run(func, args, sym_args);
+        // Lowered on the first data-mode launch only: timing mode never
+        // runs a kernel body. The reference copies share the binding.
+        if (!kernel.program) kernel.program = tir::lower(func);
+        tir::execute(*kernel.program, args, binding);
         if (alias_check) {
-            tir::run(func, ref_args, sym_args);
+            tir::execute(*kernel.program, ref_args, binding);
             diffAliasedRun(instr, args, ref_args);
         }
     }

@@ -29,10 +29,11 @@
  * The (tp, k) grid is split into six test shards, one per pair, that
  * `ctest -j` runs in parallel; each replays the same seeds with replay
  * on and off and checks the coverage aggregates its axes can reach.
- * Seed count defaults to 40 (6–12 s per shard, about 60 s of CPU in all,
+ * Seed count defaults to 40 (1–2.5 s per shard, about 10 s of CPU in all,
  * in the default RelWithDebInfo build on a 4-core x86 container); set
- * RELAX_FUZZ_SEEDS for the scheduled soak (the nightly CI job runs 400,
- * which keeps the slowest shard inside CTest's 300 s per-test timeout).
+ * RELAX_FUZZ_SEEDS for the scheduled soak (the nightly CI job runs 400:
+ * 9–19 s per shard on the same machine, far inside CTest's 300 s
+ * per-test timeout).
  */
 #include <gtest/gtest.h>
 

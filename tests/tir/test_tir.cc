@@ -308,6 +308,87 @@ TEST(InterpreterTest, IntegerBitManipulationViaDivMod)
     }
 }
 
+TEST(InterpreterTest, OutOfRangeLoadThrowsInternalError)
+{
+    // Y[i] = X[i + 1] reads one past the end of X on the last iteration.
+    Var n = var("n");
+    Buffer x = makeBuffer("X", DataType::f32(), {n});
+    Buffer y = makeBuffer("Y", DataType::f32(), {n});
+    Var i = var("i");
+    PrimFunc shift = makePrimFunc(
+        "shift", {x, y},
+        makeFor(i, n, makeStore(y, {i}, bufferLoad(x, {add(i, intImm(1))}))));
+    NDArray a = NDArray::fromVector({3}, DataType::f32(), {1, 2, 3});
+    NDArray b = NDArray::zeros({3}, DataType::f32());
+    EXPECT_THROW(run(shift, {a, b}), InternalError);
+}
+
+TEST(InterpreterTest, OutOfRangeStoreThrowsAndLeavesOutputUntouched)
+{
+    // Y[i - 1] = 1 is out of range on the first iteration, before any
+    // element has been written.
+    Var n = var("n");
+    Buffer y = makeBuffer("Y", DataType::f32(), {n});
+    Var i = var("i");
+    PrimFunc fill = makePrimFunc(
+        "fill", {y},
+        makeFor(i, n, makeStore(y, {sub(i, intImm(1))}, floatImm(1.0))));
+    NDArray out = NDArray::fromVector({3}, DataType::f32(), {5, 5, 5});
+    EXPECT_THROW(run(fill, {out}), InternalError);
+    EXPECT_EQ(out.data(), std::vector<double>(3, 5.0));
+}
+
+TEST(InterpreterTest, LoopVarIsUnboundAfterItsLoop)
+{
+    // for i in range(n): Y[i] = 1;  then Y[0] = i, outside the loop.
+    Var n = var("n");
+    Buffer y = makeBuffer("Y", DataType::f32(), {n});
+    Var i = var("i");
+    Stmt body = makeSeq({makeFor(i, n, makeStore(y, {i}, floatImm(1.0))),
+                         makeStore(y, {intImm(0)}, i)});
+    PrimFunc func = makePrimFunc("leak", {y}, body);
+    NDArray out = NDArray::zeros({2}, DataType::f32());
+    try {
+        run(func, {out});
+        FAIL() << "expected RuntimeError";
+    } catch (const RuntimeError& e) {
+        EXPECT_NE(std::string(e.what()).find("unbound variable i"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(InterpreterTest, MetadataOnlyArgumentThrowsInternalError)
+{
+    // Data-mode execution needs storage behind every buffer it touches.
+    NDArray meta = NDArray::metaOnly({2}, DataType::f32());
+    NDArray data = NDArray::zeros({2}, DataType::f32());
+    EXPECT_THROW(run(makeRelu(var("n")), {meta, data}), InternalError);
+    EXPECT_THROW(run(makeRelu(var("n")), {data, meta}), InternalError);
+}
+
+TEST(InterpreterTest, AllocBufferInsideALoopStartsZeroedEveryIteration)
+{
+    // for r in range(n): alloc T[1]: T[0] = T[0] + X[r]; Y[r] = T[0].
+    // Scratch carried across iterations would make Y the prefix sums.
+    Var n = var("n");
+    Buffer x = makeBuffer("X", DataType::f32(), {n});
+    Buffer t = makeBuffer("T", DataType::f32(), {intImm(1)});
+    Buffer y = makeBuffer("Y", DataType::f32(), {n});
+    Var r = var("r");
+    Stmt step = makeSeq(
+        {makeStore(t, {intImm(0)},
+                   add(bufferLoad(t, {intImm(0)}), bufferLoad(x, {r}))),
+         makeStore(y, {r}, bufferLoad(t, {intImm(0)}))});
+    PrimFunc func = makePrimFunc(
+        "scratch_per_row", {x, y},
+        makeFor(r, n, makeAllocBuffer(t, "local", step)));
+    NDArray a = NDArray::fromVector({3}, DataType::f32(), {1, 2, 3});
+    NDArray b = NDArray::zeros({3}, DataType::f32());
+    run(func, {a, b});
+    EXPECT_EQ(b.data(), (std::vector<double>{1, 2, 3}));
+}
+
 TEST(NDArrayTest, MetadataOnlyTracksShapeNotData)
 {
     NDArray meta = NDArray::metaOnly({1024, 4096}, DataType::f16());

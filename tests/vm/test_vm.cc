@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <set>
 
 #include "frontend/compile.h"
 #include "frontend/llama.h"
@@ -47,6 +48,41 @@ hostDevice()
     spec.backend = "cpu";
     spec.vramBytes = int64_t(64) << 30;
     return std::make_shared<device::SimDevice>(spec);
+}
+
+/**
+ * Data-mode arguments of a tiny Llama `decode_ragged` call: one row
+ * decoding one token at position 0, on pools of two 4-position pages.
+ */
+std::vector<Value>
+raggedDecodeArgs(const frontend::LlamaConfig& config)
+{
+    std::vector<Value> args;
+    args.emplace_back(NDArray::fromVector({1, 1}, DataType::i64(), {5}));
+    args.emplace_back(NDArray::fromVector({1}, DataType::i64(), {0}));
+    args.emplace_back(NDArray::fromVector({2}, DataType::i64(), {0, 1}));
+    args.emplace_back(NDArray::fromVector({1, 1}, DataType::i64(), {0}));
+    for (int64_t i = 0; i < 2 * config.numLayers; ++i) {
+        args.emplace_back(NDArray::zeros(
+            {2, config.numHeads, 4, config.headDim}, DataType::f16()));
+    }
+    for (auto& w : frontend::makeLlamaWeights(config, /*with_data=*/true)) {
+        args.emplace_back(std::move(w));
+    }
+    return args;
+}
+
+/** The kernels a function launches that the compiler generated. */
+std::set<const tir::PrimFuncNode*>
+generatedKernels(const Executable& exec, const std::string& function)
+{
+    std::set<const tir::PrimFuncNode*> kernels;
+    for (const Instr& instr : exec.functions.at(function).instrs) {
+        if (instr.op == Instr::Op::kKernelCall && !instr.isLibrary) {
+            kernels.insert(exec.module->getTIRFunc(instr.callee).get());
+        }
+    }
+    return kernels;
 }
 
 TEST(VMTest, ExecutesChainWithRealData)
@@ -296,11 +332,12 @@ TEST(VMTest, DisassemblyIsReadable)
 
 TEST(VMTest, KernelsDieWithTheirExecutable)
 {
-    // Timing-mode pricing caches each generated kernel's cost
-    // expressions. That cache belongs to the executable: once the VM and
-    // the executable are gone, nothing may keep the kernels alive.
+    // The VM caches each generated kernel's cost expressions and, in
+    // data mode, its lowered program. That cache belongs to the
+    // executable: once the VMs and the executable are gone, nothing may
+    // keep the kernels alive.
     frontend::LlamaConfig config = frontend::LlamaConfig::tiny();
-    std::weak_ptr<tir::PrimFuncNode> kernel;
+    std::weak_ptr<tir::PrimFuncNode> kernel, lowered;
     {
         frontend::CompileOptions options;
         options.device = hostDevice()->spec();
@@ -327,8 +364,52 @@ TEST(VMTest, KernelsDieWithTheirExecutable)
         VirtualMachine machine(exec, hostDevice(), /*data_mode=*/false);
         machine.invoke("decode", args);
         EXPECT_GT(machine.lastRunStats().kernelLaunches, 0);
+
+        // Data mode adds each kernel's lowered program to the cache.
+        VirtualMachine data(exec, hostDevice(), /*data_mode=*/true);
+        data.invoke("decode_ragged", raggedDecodeArgs(config));
+        for (const Instr& instr :
+             exec->functions.at("decode_ragged").instrs) {
+            if (instr.op == Instr::Op::kKernelCall && !instr.isLibrary) {
+                lowered = exec->module->getTIRFunc(instr.callee);
+                break;
+            }
+        }
+        ASSERT_TRUE(exec->kernels.at(lowered.lock().get()).program);
     }
     EXPECT_TRUE(kernel.expired());
+    EXPECT_TRUE(lowered.expired());
+}
+
+TEST(VMTest, DataModeLowersEachKernelOnce)
+{
+    // One cache entry per distinct generated kernel, lowered on the
+    // first data-mode call and reused by every later one.
+    frontend::LlamaConfig config = frontend::LlamaConfig::tiny();
+    frontend::CompileOptions options;
+    options.device = hostDevice()->spec();
+    ExecutablePtr exec =
+        frontend::compile(frontend::buildLlama(config), options);
+    std::set<const tir::PrimFuncNode*> launched =
+        generatedKernels(*exec, "decode_ragged");
+    ASSERT_FALSE(launched.empty());
+    std::vector<Value> args = raggedDecodeArgs(config);
+    VirtualMachine machine(exec, hostDevice(), /*data_mode=*/true);
+
+    machine.invoke("decode_ragged", args);
+    std::map<const tir::PrimFuncNode*, const tir::SlotProgram*> programs;
+    for (const auto& [func, entry] : exec->kernels) {
+        EXPECT_TRUE(launched.count(func));
+        ASSERT_TRUE(entry.program);
+        programs[func] = entry.program.get();
+    }
+    EXPECT_EQ(programs.size(), launched.size());
+
+    machine.invoke("decode_ragged", args);
+    EXPECT_EQ(exec->kernels.size(), launched.size());
+    for (const auto& [func, entry] : exec->kernels) {
+        EXPECT_EQ(entry.program.get(), programs.at(func));
+    }
 }
 
 } // namespace
