@@ -10,6 +10,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "ir/expr.h"
@@ -75,6 +76,16 @@ class IRModule
     {
         relaxFuncs_.erase(name);
         tirFuncs_.erase(name);
+        // The freed name reopens its suffix for each hint that derives
+        // it: `name` itself at suffix 0 and, for `<hint>_<n>`, `hint` at n.
+        reopen(name, 0);
+        size_t sep = name.rfind('_');
+        if (sep == std::string::npos) return;
+        std::string digits = name.substr(sep + 1);
+        if (!digits.empty() && digits.size() < 10 && digits[0] != '0' &&
+            digits.find_first_not_of("0123456789") == std::string::npos) {
+            reopen(name.substr(0, sep), std::stoi(digits));
+        }
     }
 
     const std::map<std::string, Function>& functions() const
@@ -86,14 +97,19 @@ class IRModule
         return tirFuncs_;
     }
 
-    /** Returns a name not yet used in the module, derived from `hint`. */
+    /**
+     * Returns a name not yet used in the module, derived from `hint`: the
+     * hint itself if free, else the first free of `hint_1`, `hint_2`, ....
+     * A per-hint cursor skips the suffixes known to be taken, so naming
+     * many functions after one hint costs O(1) amortized.
+     */
     std::string
     uniqueName(const std::string& hint)
     {
-        std::string name = hint;
-        int suffix = 0;
+        int& suffix = nextSuffix_[hint];
+        std::string name = suffixed(hint, suffix);
         while (relaxFuncs_.count(name) || tirFuncs_.count(name)) {
-            name = hint + "_" + std::to_string(++suffix);
+            name = suffixed(hint, ++suffix);
         }
         return name;
     }
@@ -107,15 +123,38 @@ class IRModule
         clone->relaxFuncs_ = relaxFuncs_;
         clone->tirFuncs_ = tirFuncs_;
         clone->globalVars_ = globalVars_;
+        clone->nextSuffix_ = nextSuffix_;
         return clone;
     }
 
     std::string toString() const;
 
   private:
+    static std::string
+    suffixed(const std::string& hint, int suffix)
+    {
+        return suffix == 0 ? hint : hint + "_" + std::to_string(suffix);
+    }
+
+    /** Lowers `hint`'s cursor to `suffix`, whose name is now free. */
+    void
+    reopen(const std::string& hint, int suffix)
+    {
+        auto it = nextSuffix_.find(hint);
+        if (it != nextSuffix_.end() && suffix < it->second) {
+            it->second = suffix;
+        }
+    }
+
     std::map<std::string, Function> relaxFuncs_;
     std::map<std::string, tir::PrimFunc> tirFuncs_;
     std::map<std::string, GlobalVar> globalVars_;
+    /**
+     * uniqueName's cursor per hint: every suffix below it names a
+     * function of the module. Adding names keeps that true;
+     * removeFunction lowers the cursors it would break.
+     */
+    std::unordered_map<std::string, int> nextSuffix_;
 };
 
 /**

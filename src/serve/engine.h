@@ -243,7 +243,7 @@ class Engine
     static std::unique_ptr<Engine>
     build(const frontend::LlamaConfig& config,
           const frontend::CompileOptions& compile_options, bool data_mode,
-          EngineOptions options = {});
+          EngineOptions options = EngineOptions());
 
     /**
      * Attaches the draft model for speculative decoding:

@@ -4,7 +4,8 @@
  * instruction sequences. Symbolic variables referenced anywhere in a
  * function are populated by MatchShape instructions over the input
  * tensors; every remaining symbolic expression is carried in the
- * instructions and evaluated against the populated symbol table.
+ * instructions and evaluated against the populated symbol table. Then
+ * every call is bound to its target.
  */
 #include "vm/exec.h"
 
@@ -13,6 +14,7 @@
 #include <unordered_set>
 
 #include "ir/utils.h"
+#include "vm/vm.h"
 
 namespace relax {
 namespace vm {
@@ -27,8 +29,7 @@ namespace {
 class FunctionCodegen
 {
   public:
-    FunctionCodegen(const Function& func, const IRModulePtr& module)
-        : func_(func), module_(module) {}
+    explicit FunctionCodegen(const Function& func) : func_(func) {}
 
     VMFunction
     run(const std::string& name)
@@ -174,8 +175,6 @@ class FunctionCodegen
                 instr.callee = static_cast<const GlobalVarNode*>(
                                    call->args[0].get())
                                    ->name;
-                RELAX_ICHECK(module_->getTIRFunc(instr.callee))
-                    << "missing kernel " << instr.callee;
             }
             for (int i = 0; i < instr.numInputs + instr.numOutputs; ++i) {
                 instr.args.push_back(regOfExpr(call->args[1 + i]));
@@ -297,12 +296,47 @@ class FunctionCodegen
     }
 
     Function func_;
-    IRModulePtr module_;
     VMFunction out_;
     std::unordered_map<const VarNode*, RegIndex> regs_;
     std::unordered_map<const ConstantNode*, RegIndex> constRegs_;
     int nextReg_ = 0;
 };
+
+/** Binds a call to its target; `generated` maps kernel names to entries. */
+void
+bindTarget(Executable& exec,
+           std::unordered_map<std::string, int32_t>& generated, Instr& instr)
+{
+    bool dps = instr.op == Instr::Op::kKernelCall;
+    if (dps && !instr.isLibrary) {
+        auto [it, inserted] =
+            generated.emplace(instr.callee, (int32_t)exec.kernels.size());
+        if (inserted) {
+            exec.kernels.emplace_back();
+            exec.kernels.back().func = exec.module->getTIRFunc(instr.callee);
+            RELAX_ICHECK(exec.kernels.back().func)
+                << "missing kernel " << instr.callee;
+        }
+        instr.kernel = it->second;
+        return;
+    }
+    bool reduce = instr.callee == "ccl.all_reduce";
+    if (dps && (reduce || instr.callee == "ccl.all_gather")) {
+        instr.collective = reduce ? Instr::Collective::kAllReduce
+                                  : Instr::Collective::kAllGather;
+        return;
+    }
+    instr.library = findLibrary(instr.callee);
+    if (!instr.library || (dps ? !instr.library->program
+                               : !instr.library->compute)) {
+        RELAX_THROW(IRError) << (dps ? "library function" : "builtin")
+                             << " not linked: " << instr.callee;
+    }
+    if (dps) {
+        instr.kernel = (int32_t)exec.kernels.size();
+        exec.kernels.emplace_back();
+    }
+}
 
 } // namespace
 
@@ -312,8 +346,16 @@ buildExecutable(const IRModulePtr& module)
     auto exec = std::make_shared<Executable>();
     exec->module = module;
     for (const auto& [name, func] : module->functions()) {
-        FunctionCodegen codegen(func, module);
-        exec->functions[name] = codegen.run(name);
+        exec->functions[name] = FunctionCodegen(func).run(name);
+    }
+    std::unordered_map<std::string, int32_t> generated;
+    for (auto& [name, func] : exec->functions) {
+        for (Instr& instr : func.instrs) {
+            if (instr.op == Instr::Op::kKernelCall ||
+                instr.op == Instr::Op::kPackedCall) {
+                bindTarget(*exec, generated, instr);
+            }
+        }
     }
     return exec;
 }

@@ -2,10 +2,12 @@
  * @file
  * The VM executable: the artifact the compiler builds (§4.7). Graph-level
  * code becomes a sequence of virtual machine instructions, each a call
- * into a generated kernel or a runtime builtin; symbolic shape values
- * live in a per-invocation symbol table (the paper's "integer host
- * tensor") populated by shape-matching instructions on the inputs and
- * read when evaluating symbolic expressions at runtime.
+ * into a generated kernel, a library kernel or a runtime builtin; symbolic
+ * shape values live in a per-invocation symbol table (the paper's
+ * "integer host tensor") populated by shape-matching instructions on the
+ * inputs and read when evaluating symbolic expressions at runtime.
+ * Every call is bound to its target when the executable is built, so
+ * running an instruction looks nothing up by name.
  */
 #ifndef RELAX_VM_EXEC_H_
 #define RELAX_VM_EXEC_H_
@@ -20,6 +22,8 @@
 
 namespace relax {
 namespace vm {
+
+struct LibraryKernel;
 
 /** Register index. */
 using RegIndex = int32_t;
@@ -56,9 +60,16 @@ struct Instr
     std::vector<PrimExpr> shape;
     DataType dtype;
 
-    // kKernelCall / kPackedCall
+    // kKernelCall / kPackedCall: `callee` names the target for traces and
+    // tools. buildExecutable binds it to a linked library kernel or
+    // builtin, an index into Executable::kernels (DPS calls), or a `ccl.*`
+    // collective, which the device group runs in lockstep.
     std::string callee;
     bool isLibrary = false;
+    const LibraryKernel* library = nullptr;
+    int32_t kernel = -1;
+    enum class Collective : uint8_t { kNone, kAllReduce, kAllGather };
+    Collective collective = Collective::kNone;
     int numInputs = 0;
     int numOutputs = 0;
     std::vector<PrimExpr> symExprs; //!< evaluated into kernel sym args
@@ -66,12 +77,11 @@ struct Instr
     /**
      * kKernelCall (library callees): per-argument symbolic shape
      * expressions, one entry per register in `args` (empty inner vector
-     * when the argument's annotation carries no shape). Inside a
-     * bucketed graph region the VM re-evaluates these at the padded
-     * binding so library kernels are priced at the bucket ceiling,
-     * exactly like generated kernels (the padding-correctness
-     * invariant, DESIGN.md §4). Generated kernels do not need this:
-     * their cost expressions bind through the shared symbolic vars.
+     * when the argument's annotation carries no shape). The site's
+     * reference program is built over them. Inside a bucketed graph
+     * region the VM re-evaluates them at the padded binding so library
+     * kernels are priced at the bucket ceiling, exactly like generated
+     * kernels (the padding-correctness invariant, DESIGN.md §4).
      */
     std::vector<std::vector<PrimExpr>> argShapes;
 
@@ -104,16 +114,18 @@ struct VMFunction
 };
 
 /**
- * What the VM derives from one generated kernel, each part on first need:
- * its symbolic roofline cost (priced on every launch) and its lowered
- * slot program (run on every data-mode launch).
+ * One DPS kernel target: a generated kernel (one entry however many sites
+ * call it) or a library call site. The VM fills each part on first need:
+ * a generated kernel's symbolic roofline cost on its first launch; a
+ * library site's reference program (`func`) and every `program` on the
+ * first data-mode launch.
  */
 struct KernelEntry
 {
+    tir::PrimFunc func;
     PrimExpr flops;
     PrimExpr bytes;
     tir::PatternKind kind;
-    /** Null until the kernel's first data-mode launch. */
     std::shared_ptr<const tir::SlotProgram> program;
 };
 
@@ -124,19 +136,16 @@ class Executable
     std::map<std::string, VMFunction> functions;
     /** Kernel bodies (lowered to slot programs: the GPU codegen stand-in). */
     ir::IRModulePtr module;
-    /**
-     * One entry per generated kernel launched so far. Keyed by node:
-     * `module` owns every key, so the cache lives and dies with the
-     * kernels it describes, and no entry keeps a kernel alive.
-     */
-    std::map<const tir::PrimFuncNode*, KernelEntry> kernels;
+    /** Every DPS kernel call target, indexed by Instr::kernel. */
+    std::vector<KernelEntry> kernels;
 };
 
 using ExecutablePtr = std::shared_ptr<Executable>;
 
 /**
  * Translates a fully lowered module (output of the Fig. 13 pipeline) to a
- * VM executable. Throws IRError when un-lowered constructs remain.
+ * VM executable and binds every call to its target. Throws IRError when
+ * un-lowered constructs remain or a callee is not linked.
  */
 ExecutablePtr buildExecutable(const ir::IRModulePtr& module);
 

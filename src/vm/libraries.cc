@@ -1,10 +1,12 @@
 /**
  * @file
  * Simulated vendor libraries (the call_dps_library targets of §4.6) and
- * runtime builtins. Each kernel provides a cost model (used by the
- * simulated device clock) and a data-mode implementation that reuses the
- * generated tensor-program kernels through the reference interpreter, so
- * library dispatch is bit-identical to the compiler path.
+ * runtime builtins, in the read-only table buildExecutable links against.
+ * Each kernel provides a cost model (used by the simulated device clock).
+ * A DPS library kernel's data-mode semantics are the tensor program the
+ * compiler generates for its operator, built once per call site and run
+ * by the VM like a generated kernel, so library dispatch is bit-identical
+ * to the compiler path.
  *
  * Library cost characteristics mirror the real systems:
  *  - cublas/rocblas/mps GEMMs hit a higher fraction of roofline peak than
@@ -15,9 +17,9 @@
  */
 #include <algorithm>
 #include <cmath>
+#include <map>
 
 #include "op/tir_kernels.h"
-#include "tir/interpreter.h"
 #include "vm/vm.h"
 
 namespace relax {
@@ -25,13 +27,7 @@ namespace vm {
 
 namespace {
 
-std::vector<PrimExpr>
-staticShape(const NDArray& array)
-{
-    std::vector<PrimExpr> shape;
-    for (int64_t dim : array.shape()) shape.push_back(intImm(dim));
-    return shape;
-}
+using Shapes = std::vector<std::vector<PrimExpr>>;
 
 double
 totalBytes(const std::vector<NDArray>& args)
@@ -55,8 +51,8 @@ attrInt(const ir::Attrs& attrs, const std::string& key, int64_t fallback)
     return it == attrs.end() ? fallback : std::get<int64_t>(it->second);
 }
 
-void
-registerGemm(LibraryRegistry& registry, const std::string& name)
+LibraryKernel
+gemm()
 {
     LibraryKernel kernel;
     kernel.cost = [](const std::vector<NDArray>& args, const ir::Attrs&,
@@ -70,18 +66,17 @@ registerGemm(LibraryRegistry& registry, const std::string& name)
         cost.efficiency = spec.libGemmEfficiency;
         return cost;
     };
-    kernel.compute = [](std::vector<NDArray>& args, const ir::Attrs& attrs) {
-        bool transpose_b = attrInt(attrs, "transpose_b", 0) != 0;
-        tir::PrimFunc func = op::makeMatmulFunc(
-            "lib_matmul", staticShape(args[0]), staticShape(args[1]),
-            transpose_b, args[0].dtype());
-        tir::run(func, args);
+    kernel.program = [](const Shapes& shapes, const ir::Attrs& attrs,
+                        DataType dtype) {
+        return op::makeMatmulFunc("lib_matmul", shapes[0], shapes[1],
+                                  attrInt(attrs, "transpose_b", 0) != 0,
+                                  dtype);
     };
-    registry.registerKernel(name, kernel);
+    return kernel;
 }
 
-void
-registerAttention(LibraryRegistry& registry, const std::string& name)
+LibraryKernel
+attention()
 {
     LibraryKernel kernel;
     kernel.cost = [](const std::vector<NDArray>& args, const ir::Attrs&,
@@ -95,18 +90,18 @@ registerAttention(LibraryRegistry& registry, const std::string& name)
         cost.efficiency = spec.libAttentionEfficiency;
         return cost;
     };
-    kernel.compute = [](std::vector<NDArray>& args, const ir::Attrs& attrs) {
-        tir::PrimFunc func = op::makeAttentionFunc(
-            "lib_attention", staticShape(args[0]), staticShape(args[1]),
-            staticShape(args[2]), attrDouble(attrs, "scale", 1.0),
-            attrInt(attrs, "causal", 0) != 0, args[0].dtype());
-        tir::run(func, args);
+    kernel.program = [](const Shapes& shapes, const ir::Attrs& attrs,
+                        DataType dtype) {
+        return op::makeAttentionFunc(
+            "lib_attention", shapes[0], shapes[1], shapes[2],
+            attrDouble(attrs, "scale", 1.0),
+            attrInt(attrs, "causal", 0) != 0, dtype);
     };
-    registry.registerKernel(name, kernel);
+    return kernel;
 }
 
-void
-registerRaggedAttention(LibraryRegistry& registry, const std::string& name)
+LibraryKernel
+raggedAttention()
 {
     // Varlen / paged-KV attention over the persistent page pool
     // (FlashAttention's varlen paged-KV entry point): one launch covers a
@@ -167,50 +162,40 @@ registerRaggedAttention(LibraryRegistry& registry, const std::string& name)
         cost.efficiency = spec.libAttentionEfficiency;
         return cost;
     };
-    kernel.compute = [](std::vector<NDArray>& args, const ir::Attrs& attrs) {
-        tir::PrimFunc func = op::makeRaggedAttentionFunc(
-            "lib_attention_ragged", staticShape(args[0]),
-            staticShape(args[1]), staticShape(args[2]),
-            staticShape(args[3]), staticShape(args[4]),
-            staticShape(args[5]),
-            attrDouble(attrs, "scale", 1.0), args[0].dtype());
-        tir::run(func, args);
+    kernel.program = [](const Shapes& shapes, const ir::Attrs& attrs,
+                        DataType dtype) {
+        return op::makeRaggedAttentionFunc(
+            "lib_attention_ragged", shapes[0], shapes[1], shapes[2],
+            shapes[3], shapes[4], shapes[5],
+            attrDouble(attrs, "scale", 1.0), dtype);
     };
-    registry.registerKernel(name, kernel);
+    return kernel;
 }
 
-void
-registerNorms(LibraryRegistry& registry, const std::string& prefix)
+/** A cutlass fused norm over the last axis; `make` builds its program. */
+LibraryKernel
+norm(tir::PrimFunc (*make)(const std::string&, const std::vector<PrimExpr>&,
+                           double, DataType),
+     const char* name)
 {
-    LibraryKernel rms;
-    rms.cost = [](const std::vector<NDArray>& args, const ir::Attrs&,
-                  const device::DeviceSpec& spec) {
+    LibraryKernel kernel;
+    kernel.cost = [](const std::vector<NDArray>& args, const ir::Attrs&,
+                     const device::DeviceSpec& spec) {
         device::KernelCost cost;
         cost.flops = 4.0 * (double)args[0].numel();
         cost.bytes = totalBytes(args);
         cost.efficiency = 0.9;
         return cost;
     };
-    rms.compute = [](std::vector<NDArray>& args, const ir::Attrs& attrs) {
-        tir::PrimFunc func = op::makeRMSNormFunc(
-            "lib_rms_norm", staticShape(args[0]),
-            attrDouble(attrs, "eps", 1e-5), args[0].dtype());
-        tir::run(func, args);
+    kernel.program = [make, name](const Shapes& shapes,
+                                  const ir::Attrs& attrs, DataType dtype) {
+        return make(name, shapes[0], attrDouble(attrs, "eps", 1e-5), dtype);
     };
-    registry.registerKernel(prefix + ".rms_norm", rms);
-
-    LibraryKernel ln = rms;
-    ln.compute = [](std::vector<NDArray>& args, const ir::Attrs& attrs) {
-        tir::PrimFunc func = op::makeLayerNormFunc(
-            "lib_layer_norm", staticShape(args[0]),
-            attrDouble(attrs, "eps", 1e-5), args[0].dtype());
-        tir::run(func, args);
-    };
-    registry.registerKernel(prefix + ".layer_norm", ln);
+    return kernel;
 }
 
-void
-registerKvCache(LibraryRegistry& registry)
+LibraryKernel
+kvAppend()
 {
     // Paged KV-cache append: the runtime appends the new position in
     // place, so only the new token's K/V bytes move (the behavior of the
@@ -226,15 +211,17 @@ registerKvCache(LibraryRegistry& registry)
         cost.efficiency = spec.genElemwiseEfficiency;
         return cost;
     };
-    append.compute = [](std::vector<NDArray>& args, const ir::Attrs&) {
-        tir::PrimFunc func = op::makeConcatFunc(
-            "lib_kv_append",
-            {staticShape(args[0]), staticShape(args[1])}, /*axis=*/2,
-            args[0].dtype());
-        tir::run(func, args);
+    append.program = [](const Shapes& shapes, const ir::Attrs&,
+                        DataType dtype) {
+        return op::makeConcatFunc("lib_kv_append", {shapes[0], shapes[1]},
+                                  /*axis=*/2, dtype);
     };
-    registry.registerKernel("kv.append", append);
+    return append;
+}
 
+LibraryKernel
+kvAppendRagged()
+{
     // Page-pool packed append (in-place, `inplace_arg = 0`): scatters the
     // packed fresh tokens into the persistent pool at each row's own
     // length offset, addressed through the block table. The DPS output
@@ -270,23 +257,23 @@ registerKvCache(LibraryRegistry& registry)
         cost.efficiency = spec.genElemwiseEfficiency;
         return cost;
     };
-    ragged.compute = [](std::vector<NDArray>& args, const ir::Attrs&) {
+    ragged.program = [](const Shapes& shapes, const ir::Attrs&,
+                        DataType dtype) {
         tir::PrimFunc func = op::makeKvAppendRaggedFunc(
-            "lib_kv_append_ragged", staticShape(args[1]),
-            staticShape(args[2]), staticShape(args[3]),
-            staticShape(args[4]), staticShape(args.back()),
-            args[1].dtype());
+            "lib_kv_append_ragged", shapes[1], shapes[2], shapes[3],
+            shapes[4], shapes.back(), dtype);
         // The scatter writes straight into the out tensor, which aliases
-        // the pool input — genuine in-place mutation.
-        std::vector<NDArray> scatter_args{args[1], args[2], args[3],
-                                          args[4], args.back()};
-        tir::run(func, scatter_args);
+        // the pool input — genuine in-place mutation. The pool input
+        // leads the DPS signature and is never read.
+        func->params.insert(func->params.begin(),
+                            tir::makeBuffer("POOL_IN", dtype, shapes[0]));
+        return func;
     };
-    registry.registerKernel("kv.append_ragged", ragged);
+    return ragged;
 }
 
-void
-registerBuiltins(LibraryRegistry& registry)
+LibraryKernel
+uniqueBuiltin()
 {
     // unique: data-dependent output; allocates its own result (appended).
     LibraryKernel unique;
@@ -308,27 +295,28 @@ registerBuiltins(LibraryRegistry& registry)
         args.push_back(NDArray::fromVector({(int64_t)values.size()},
                                            args[0].dtype(), values));
     };
-    registry.registerKernel("builtin.unique", unique);
+    return unique;
 }
 
 } // namespace
 
-void
-ensureLibrariesRegistered()
+const LibraryKernel*
+findLibrary(const std::string& name)
 {
-    static bool done = [] {
-        LibraryRegistry& registry = LibraryRegistry::global();
-        registerGemm(registry, "cublas.matmul");
-        registerGemm(registry, "rocblas.matmul");
-        registerGemm(registry, "mps.matmul");
-        registerAttention(registry, "flashattn.attention");
-        registerRaggedAttention(registry, "flashattn.attention_ragged");
-        registerNorms(registry, "cutlass");
-        registerKvCache(registry);
-        registerBuiltins(registry);
-        return true;
-    }();
-    (void)done;
+    static const std::map<std::string, LibraryKernel> table{
+        {"cublas.matmul", gemm()},
+        {"rocblas.matmul", gemm()},
+        {"mps.matmul", gemm()},
+        {"flashattn.attention", attention()},
+        {"flashattn.attention_ragged", raggedAttention()},
+        {"cutlass.rms_norm", norm(op::makeRMSNormFunc, "lib_rms_norm")},
+        {"cutlass.layer_norm", norm(op::makeLayerNormFunc, "lib_layer_norm")},
+        {"kv.append", kvAppend()},
+        {"kv.append_ragged", kvAppendRagged()},
+        {"builtin.unique", uniqueBuiltin()},
+    };
+    auto it = table.find(name);
+    return it == table.end() ? nullptr : &it->second;
 }
 
 } // namespace vm

@@ -1,9 +1,9 @@
 /**
  * @file
- * The virtual machine: the library-kernel registry, the per-instruction
- * executors (MatchShape / AllocStorage / AllocTensor / KernelCall /
- * PackedCall), and the timing-mode path that prices generated kernels
- * on the device roofline (kernelEntry + generatedKernelEfficiency).
+ * The virtual machine: the per-instruction executors (MatchShape /
+ * AllocStorage / AllocTensor / KernelCall / PackedCall) and the pricing
+ * of generated kernels on the device roofline. Data mode runs every DPS
+ * kernel, generated or library, through its entry's lowered program.
  */
 #include "vm/vm.h"
 #include <cstdlib>
@@ -88,26 +88,6 @@ aliasChecksPerformed()
     return g_aliasChecks.load(std::memory_order_relaxed);
 }
 
-LibraryRegistry&
-LibraryRegistry::global()
-{
-    static LibraryRegistry instance;
-    return instance;
-}
-
-void
-LibraryRegistry::registerKernel(const std::string& name, LibraryKernel kernel)
-{
-    kernels_[name] = std::move(kernel);
-}
-
-const LibraryKernel*
-LibraryRegistry::find(const std::string& name) const
-{
-    auto it = kernels_.find(name);
-    return it == kernels_.end() ? nullptr : &it->second;
-}
-
 namespace {
 
 /** Per-invocation execution state. */
@@ -178,46 +158,46 @@ padForPricing(const NDArray& array, std::vector<int64_t> padded_shape)
     return padded;
 }
 
-/** The kernel's cache entry, its cost expressions derived on creation. */
-KernelEntry&
-kernelEntry(Executable& exec, const tir::PrimFunc& func)
-{
-    auto [it, inserted] = exec.kernels.emplace(func.get(), KernelEntry{});
-    if (inserted) {
-        tir::TensorProgramCost cost = tir::analyzeCost(func);
-        it->second.flops = cost.flops;
-        it->second.bytes = cost.bytes;
-        auto attr = func->attrs.find(tir::kComputePatternAttr);
-        it->second.kind = attr != func->attrs.end()
-                              ? tir::patternKindFromName(attr->second)
-                              : tir::analyzePatternKind(func);
-    }
-    return it->second;
-}
-
-/** Efficiency class of a generated kernel on the given device. */
+/** Efficiency class of a generated kernel whose cost is `flops`, `bytes`. */
 double
-generatedKernelEfficiency(const KernelEntry& kernel,
-                          const tir::PrimFunc& func,
-                          const VarBinding& binding,
+generatedKernelEfficiency(const KernelEntry& kernel, double flops,
+                          double bytes, const VarBinding& binding,
                           const device::DeviceSpec& spec)
 {
-    bool has_fma = kernel.kind == tir::PatternKind::kOutputEwiseFusible;
-    if (!has_fma) {
-        // Fused kernels lose their single-op classification; detect a
-        // matmul core by arithmetic intensity instead.
-        double flops = (double)evalInt(kernel.flops, binding);
-        double bytes = (double)evalInt(kernel.bytes, binding);
-        has_fma = bytes > 0 && flops / bytes > 16.0;
-    }
+    // Fused kernels lose their single-op classification; detect a matmul
+    // core by arithmetic intensity instead.
+    bool has_fma = kernel.kind == tir::PatternKind::kOutputEwiseFusible ||
+                   (bytes > 0 && flops / bytes > 16.0);
     if (!has_fma) return spec.genElemwiseEfficiency;
     // Matrix-vector (single output row) uses the tuned gemv schedule.
-    const tir::Buffer& out = func->params.back();
+    const tir::Buffer& out = kernel.func->params.back();
     int64_t rows = 1;
     for (size_t d = 0; d + 1 < out->shape.size(); ++d) {
         rows *= evalInt(out->shape[d], binding);
     }
     return rows <= 1 ? spec.genGemvEfficiency : spec.genGemmEfficiency;
+}
+
+/**
+ * A library site's shapes for its reference program: each annotated dim
+ * that is a variable or constant, else (a composite or unannotated dim) a
+ * fresh variable, which bindShapes binds from the tensor.
+ */
+std::vector<std::vector<PrimExpr>>
+siteShapes(const Instr& instr, const std::vector<NDArray>& args)
+{
+    std::vector<std::vector<PrimExpr>> shapes(args.size());
+    for (size_t i = 0; i < args.size(); ++i) {
+        const std::vector<PrimExpr>& site = instr.argShapes[i];
+        for (size_t d = 0; d < args[i].shape().size(); ++d) {
+            bool keep = d < site.size() && (site[d]->kind() == ExprKind::kVar ||
+                                             asIntImm(site[d]));
+            shapes[i].push_back(keep ? site[d]
+                                     : var("d" + std::to_string(i) + "_" +
+                                           std::to_string(d)));
+        }
+    }
+    return shapes;
 }
 
 } // namespace
@@ -346,9 +326,7 @@ lockstepCollective(const Instr& instr, device::DeviceGroup& group,
                                  instr.callee.c_str());
     }
     double payload = (double)outs[0]->sizeBytes();
-    bool reduce = instr.callee == "ccl.all_reduce";
-    RELAX_ICHECK(reduce || instr.callee == "ccl.all_gather")
-        << "unknown collective: " << instr.callee;
+    bool reduce = instr.collective == Instr::Collective::kAllReduce;
     if (reduce) {
         group.allReduce(payload);
     } else {
@@ -465,8 +443,7 @@ VirtualMachine::run(VirtualMachine* shards,
     // before any shard executes k+1, so all shards reach each `ccl.*`
     // site together and the group prices it as one collective.
     for (const Instr& instr : func.instrs) {
-        if (instr.op == Instr::Op::kKernelCall && instr.isLibrary &&
-            instr.callee.compare(0, 4, "ccl.") == 0) {
+        if (instr.collective != Instr::Collective::kNone) {
             if (!group) {
                 RELAX_THROW(RuntimeError)
                     << name << ": collective '" << instr.callee
@@ -689,33 +666,24 @@ Executor::execKernelCall(const Instr& instr, Frame& frame)
         args.push_back(asTensorValue(frame.regs[reg],
                                      instr.callee.c_str()));
     }
-    // Instrumented differential mode: for in-place kernel calls, snapshot
-    // every argument before the aliased run so a no-aliasing reference
-    // run can be replayed on the copies and bit-compared afterwards. The
-    // reference run touches neither the device clock nor the pool.
-    bool alias_check = dataMode_ && aliasCheckEnabled() &&
-                       instr.attrs.count("inplace_arg");
-    std::vector<NDArray> ref_args;
-    if (alias_check) ref_args = copyArgsForReference(args);
-    if (instr.isLibrary) {
-        const LibraryKernel* kernel =
-            LibraryRegistry::global().find(instr.callee);
-        if (!kernel) {
-            RELAX_THROW(RuntimeError)
-                << "library function not linked: " << instr.callee;
-        }
+    KernelEntry& kernel = exec->kernels[instr.kernel];
+    VarBinding binding;
+    if (instr.library) {
         // Inside a bucketed graph region, library kernels are priced at
         // the padded binding like generated ones: each argument's shape
         // expressions are re-evaluated with the padded symbol values and
         // the cost model sees the padded stand-ins. Compute (below) still
         // runs on the live tensors — padding affects the clock only.
+        const std::vector<NDArray>* priced = &args;
+        std::vector<NDArray> padded;
         if (!frame.paddedSymbols.empty() &&
             instr.argShapes.size() == args.size()) {
             VarBinding padded_syms = frame.symbols;
             for (const auto& [v, value] : frame.paddedSymbols) {
                 padded_syms[v] = value;
             }
-            std::vector<NDArray> priced = args;
+            padded = args;
+            priced = &padded;
             for (size_t i = 0; i < args.size(); ++i) {
                 if (instr.argShapes[i].empty()) continue;
                 std::vector<int64_t> padded_shape;
@@ -724,90 +692,91 @@ Executor::execKernelCall(const Instr& instr, Frame& frame)
                     padded_shape.push_back(evalInt(dim, padded_syms));
                 }
                 if (padded_shape != args[i].shape()) {
-                    priced[i] = padForPricing(args[i],
+                    padded[i] = padForPricing(args[i],
                                               std::move(padded_shape));
                 }
             }
-            device_->launchKernel(
-                kernel->cost(priced, instr.attrs, device_->spec()),
-                instr.callee.c_str());
-        } else {
-            device_->launchKernel(
-                kernel->cost(args, instr.attrs, device_->spec()),
-                instr.callee.c_str());
         }
-        if (dataMode_) {
-            RELAX_ICHECK(kernel->compute)
-                << instr.callee << " has no data-mode implementation";
-            kernel->compute(args, instr.attrs);
-            if (alias_check) {
-                kernel->compute(ref_args, instr.attrs);
-                diffAliasedRun(instr, args, ref_args);
+        device_->launchKernel(
+            instr.library->cost(*priced, instr.attrs, device_->spec()),
+            instr.callee.c_str());
+    } else {
+        std::vector<int64_t> sym_args;
+        for (const auto& expr : instr.symExprs) {
+            sym_args.push_back(evalInt(expr, frame.symbols));
+        }
+        binding = tir::bindShapes(kernel.func, args, sym_args);
+        // Inside a bucketed graph region the captured graph's kernels are
+        // launched at the bucket-ceiling shapes (padded, with masking), so
+        // cost is priced at the padded binding. TIR kernels share their
+        // symbolic VarNodes with the graph level, which makes the override
+        // a direct key lookup. Data-mode compute below still uses the real
+        // shapes — padding affects the clock, never the values.
+        const VarBinding* priced = &binding;
+        VarBinding padded_binding;
+        if (!frame.paddedSymbols.empty()) {
+            padded_binding = binding;
+            for (auto& [v, value] : padded_binding) {
+                auto padded = frame.paddedSymbols.find(v);
+                if (padded != frame.paddedSymbols.end()) {
+                    value = padded->second;
+                }
             }
+            priced = &padded_binding;
         }
-        return;
-    }
-    tir::PrimFunc func = exec->module->getTIRFunc(instr.callee);
-    std::vector<int64_t> sym_args;
-    for (const auto& expr : instr.symExprs) {
-        sym_args.push_back(evalInt(expr, frame.symbols));
-    }
-    VarBinding binding = tir::bindShapes(func, args, sym_args);
-    // Inside a bucketed graph region the captured graph's kernels are
-    // launched at the bucket-ceiling shapes (padded, with masking), so
-    // cost is priced at the padded binding. TIR kernels share their
-    // symbolic VarNodes with the graph level, which makes the override a
-    // direct key lookup. Data-mode compute below still uses the real
-    // shapes — padding affects the clock, never the values.
-    const VarBinding* priced = &binding;
-    VarBinding padded_binding;
-    if (!frame.paddedSymbols.empty()) {
-        padded_binding = binding;
-        for (auto& [v, value] : padded_binding) {
-            auto padded = frame.paddedSymbols.find(v);
-            if (padded != frame.paddedSymbols.end()) {
-                value = padded->second;
-            }
+        if (!kernel.flops) {
+            tir::TensorProgramCost cost = tir::analyzeCost(kernel.func);
+            kernel.flops = cost.flops;
+            kernel.bytes = cost.bytes;
+            auto attr = kernel.func->attrs.find(tir::kComputePatternAttr);
+            kernel.kind = attr != kernel.func->attrs.end()
+                              ? tir::patternKindFromName(attr->second)
+                              : tir::analyzePatternKind(kernel.func);
         }
-        priced = &padded_binding;
+        device::KernelCost kernel_cost;
+        kernel_cost.flops = (double)evalInt(kernel.flops, *priced);
+        kernel_cost.bytes = (double)evalInt(kernel.bytes, *priced);
+        kernel_cost.efficiency = generatedKernelEfficiency(
+            kernel, kernel_cost.flops, kernel_cost.bytes, *priced,
+            device_->spec());
+        device_->launchKernel(kernel_cost, instr.callee.c_str());
     }
-    KernelEntry& kernel = kernelEntry(*exec, func);
-    device::KernelCost kernel_cost;
-    kernel_cost.flops = (double)evalInt(kernel.flops, *priced);
-    kernel_cost.bytes = (double)evalInt(kernel.bytes, *priced);
-    kernel_cost.efficiency = generatedKernelEfficiency(
-        kernel, func, *priced, device_->spec());
-    device_->launchKernel(kernel_cost, instr.callee.c_str());
-    if (dataMode_) {
-        // Lowered on the first data-mode launch only: timing mode never
-        // runs a kernel body. The reference copies share the binding.
-        if (!kernel.program) kernel.program = tir::lower(func);
-        tir::execute(*kernel.program, args, binding);
-        if (alias_check) {
-            tir::execute(*kernel.program, ref_args, binding);
-            diffAliasedRun(instr, args, ref_args);
+    if (!dataMode_) return;
+    // From here on a library site runs like a generated kernel.
+    if (instr.library) {
+        if (!kernel.func) {
+            kernel.func = instr.library->program(
+                siteShapes(instr, args), instr.attrs, args[0].dtype());
         }
+        binding = tir::bindShapes(kernel.func, args, {});
+    }
+    // Lowered on the first data-mode launch only. Instrumented
+    // differential mode: an in-place call also runs, unaliased, on deep
+    // copies of its arguments taken before the aliased run, and the two
+    // are bit-compared; the reference run shares the binding.
+    if (!kernel.program) kernel.program = tir::lower(kernel.func);
+    bool alias_check = aliasCheckEnabled() && instr.attrs.count("inplace_arg");
+    std::vector<NDArray> ref_args;
+    if (alias_check) ref_args = copyArgsForReference(args);
+    tir::execute(*kernel.program, args, binding);
+    if (alias_check) {
+        tir::execute(*kernel.program, ref_args, binding);
+        diffAliasedRun(instr, args, ref_args);
     }
 }
 
 void
 Executor::execPackedCall(const Instr& instr, Frame& frame)
 {
-    const LibraryKernel* kernel =
-        LibraryRegistry::global().find(instr.callee);
-    if (!kernel) {
-        RELAX_THROW(RuntimeError)
-            << "builtin not registered: " << instr.callee;
-    }
     std::vector<NDArray> args;
     for (RegIndex reg : instr.args) {
         args.push_back(asTensorValue(frame.regs[reg], "packed_call"));
     }
-    device_->launchKernel(kernel->cost(args, instr.attrs, device_->spec()),
-                          instr.callee.c_str());
+    device_->launchKernel(
+        instr.library->cost(args, instr.attrs, device_->spec()),
+        instr.callee.c_str());
     if (dataMode_) {
-        RELAX_ICHECK(kernel->compute) << instr.callee << " not computable";
-        kernel->compute(args, instr.attrs);
+        instr.library->compute(args, instr.attrs);
         frame.regs[instr.dst] = args.back();
     } else {
         // Timing mode: data-dependent output degrades to worst case.

@@ -2,8 +2,8 @@
  * @file
  * The Relax virtual machine: executes compiled modules on a simulated
  * device. Two execution modes share one code path:
- *  - data mode: kernels run on the reference interpreter with real
- *    tensors (tests, examples);
+ *  - data mode: kernels, generated or library, run their tensor program
+ *    on the reference interpreter with real tensors (tests, examples);
  *  - timing mode: tensors are metadata-only and only shapes, memory
  *    accounting and the device's virtual clock advance — how the
  *    benchmark harness executes paper-scale models.
@@ -74,9 +74,9 @@ struct GraphStats
 };
 
 /**
- * Library/builtin function: computes cost and (in data mode) the result.
- * Inputs/outputs follow DPS for library kernels; packed builtins return a
- * fresh value instead.
+ * A simulated vendor-library kernel or runtime builtin: a cost model plus
+ * its data-mode semantics, a reference program (DPS kernels) or a native
+ * compute (builtins, whose output size depends on the data).
  */
 struct LibraryKernel
 {
@@ -84,27 +84,20 @@ struct LibraryKernel
                                      const ir::Attrs& attrs,
                                      const device::DeviceSpec& spec)>
         cost;
-    /** DPS compute over real data (last numOutputs args are outputs). */
+    /** The reference program of a call site, from its argument shapes
+     *  (outputs last), attrs and element type; the VM runs it like a
+     *  generated kernel. */
+    std::function<tir::PrimFunc(
+        const std::vector<std::vector<PrimExpr>>& shapes,
+        const ir::Attrs& attrs, DataType dtype)>
+        program;
+    /** Builtins: computes over real data and appends the result to args. */
     std::function<void(std::vector<NDArray>& args, const ir::Attrs& attrs)>
         compute;
 };
 
-/** Global registry of simulated vendor libraries and runtime builtins. */
-class LibraryRegistry
-{
-  public:
-    static LibraryRegistry& global();
-
-    void registerKernel(const std::string& name, LibraryKernel kernel);
-    const LibraryKernel* find(const std::string& name) const;
-
-  private:
-    std::map<std::string, LibraryKernel> kernels_;
-};
-
-/** Registers the simulated cublas/rocblas/mps/flashattn/cutlass kernels
- *  and runtime builtins (idempotent). */
-void ensureLibrariesRegistered();
+/** The library kernel or builtin linked under `name`; null when none is. */
+const LibraryKernel* findLibrary(const std::string& name);
 
 /**
  * Cumulative count (process-wide) of in-place kernel invocations verified
@@ -121,10 +114,7 @@ class VirtualMachine
     VirtualMachine(ExecutablePtr exec,
                    std::shared_ptr<device::SimDevice> dev, bool data_mode)
         : exec_(std::move(exec)), device_(std::move(dev)),
-          dataMode_(data_mode)
-    {
-        ensureLibrariesRegistered();
-    }
+          dataMode_(data_mode) {}
 
     /**
      * Invokes a compiled function: the one-shard case of

@@ -123,6 +123,78 @@ TEST(ModuleTest, AddLookupAndUniqueNames)
               module->getGlobalVar("main").get());
 }
 
+TEST(ModuleTest, UniqueNamesFollowTheProbingRule)
+{
+    // uniqueName keeps a cursor per hint; its names must stay exactly
+    // those of probing hint, hint_1, hint_2, ... from the start, through
+    // any mix of adds (derived or literal names), removals and copies.
+    auto probe = [](const IRModulePtr& module, const std::string& hint) {
+        auto taken = [&](const std::string& name) {
+            return module->functions().count(name) ||
+                   module->tirFuncs().count(name);
+        };
+        std::string name = hint;
+        for (int suffix = 1; taken(name); ++suffix) {
+            name = hint + "_" + std::to_string(suffix);
+        }
+        return name;
+    };
+    auto module = IRModule::create();
+    SymVar n = var("n");
+    Var x = makeVar("x", tensorSInfo({n}, DataType::f32()));
+    auto block = std::make_shared<BindingBlockNode>(true);
+    Function func = makeFunction({x}, makeSeqExpr({block}, x),
+                                 x->structInfo());
+    auto add = [&](const std::string& name, uint32_t roll) {
+        if (roll % 2) {
+            module->addFunction(name, func);
+        } else {
+            module->addTIRFunc(tir::makePrimFunc(name, {}, tir::makeSeq({})));
+        }
+    };
+    const std::vector<std::string> hints{"k", "k_1", "matmul", "k_1_1"};
+    const std::vector<std::string> literals{"k_2", "k_1_1", "k_01", "k_",
+                                            "matmul_3", "k"};
+    uint32_t state = 12345;
+    auto next = [&] { return state = state * 1103515245u + 12345u; };
+    for (int step = 0; step < 2000; ++step) {
+        uint32_t roll = next() >> 8;
+        const std::string& hint = hints[roll % hints.size()];
+        switch ((roll >> 4) % 8) {
+          case 0: { // remove a name in use, if any
+            std::vector<std::string> names;
+            for (const auto& [name, f] : module->functions()) {
+                names.push_back(name);
+            }
+            for (const auto& [name, f] : module->tirFuncs()) {
+                names.push_back(name);
+            }
+            if (!names.empty()) {
+                module->removeFunction(names[(roll >> 8) % names.size()]);
+            }
+            break;
+          }
+          case 1: // a literal name that collides with derived ones
+            add(literals[(roll >> 8) % literals.size()], roll >> 12);
+            break;
+          case 2: // probe without adding
+            ASSERT_EQ(module->uniqueName(hint), probe(module, hint));
+            break;
+          case 3:
+            module = module->copy();
+            break;
+          default: {
+            std::string name = module->uniqueName(hint);
+            ASSERT_EQ(name, probe(module, hint)) << "step " << step;
+            add(name, roll >> 12);
+          }
+        }
+    }
+    // The mix reached deep suffixes, so the cursors were exercised.
+    EXPECT_NE(probe(module, "k"), "k");
+    EXPECT_NE(probe(module, "k"), "k_1");
+}
+
 TEST(WellFormedTest, AcceptsMinimalFunction)
 {
     auto module = IRModule::create();

@@ -1,12 +1,14 @@
 /**
  * @file
- * VM tests: codegen of lowered modules, execution in data and timing
- * modes, runtime shape checks, static storage caching, graph
- * capture/replay, and library dispatch equivalence.
+ * VM tests: codegen of lowered modules and the binding of every call at
+ * build time, execution in data and timing modes, runtime shape checks,
+ * static storage caching, graph capture/replay, library dispatch
+ * equivalence, and the per-executable kernel program cache.
  */
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <set>
 
 #include "frontend/compile.h"
@@ -83,6 +85,37 @@ generatedKernels(const Executable& exec, const std::string& function)
         }
     }
     return kernels;
+}
+
+/** main(p0, p1, ...) = op(p0, p1, ...) over f32 tensors of `shapes`. */
+ir::IRModulePtr
+oneOpModule(const std::vector<std::vector<PrimExpr>>& shapes,
+            const std::function<ir::Call(const std::vector<Var>&)>& op)
+{
+    auto module = IRModule::create();
+    shape::BlockBuilder builder(module);
+    std::vector<Var> params;
+    for (const auto& shape : shapes) {
+        params.push_back(makeVar("p" + std::to_string(params.size()),
+                                 tensorSInfo(shape, DataType::f32())));
+    }
+    builder.beginDataflowBlock();
+    Var out = builder.emitOutput(op(params));
+    builder.endBlock();
+    module->addFunction("main", makeFunction(params, builder.finish(out),
+                                             out->structInfo()));
+    return module;
+}
+
+/** A data-bearing f32 tensor with small, varied, deterministic values. */
+NDArray
+filled(std::vector<int64_t> shape, double step)
+{
+    NDArray array = NDArray::zeros(std::move(shape), DataType::f32());
+    for (int64_t i = 0; i < array.numel(); ++i) {
+        array.set(i, step * (double)(i % 7) - 0.25);
+    }
+    return array;
 }
 
 TEST(VMTest, ExecutesChainWithRealData)
@@ -201,40 +234,147 @@ TEST(VMTest, GraphReplayReducesLaunchOverhead)
 
 TEST(VMTest, LibraryDispatchMatchesGeneratedKernels)
 {
-    // matmul through cublas-sim == matmul through generated kernel.
-    auto build = [] {
+    // Every DPS library kernel runs its reference tensor program, so each
+    // one must match the compiler's generated kernel bit for bit.
+    struct Case
+    {
+        std::string library;
+        std::function<ir::IRModulePtr()> build;
+        std::vector<NDArray> inputs;
+    };
+    std::vector<Case> cases;
+    cases.push_back({"cublas.matmul",
+                     [] {
+                         SymVar n = var("n");
+                         return oneOpModule(
+                             {{n, intImm(8)}, {intImm(8), intImm(4)}},
+                             [](const std::vector<Var>& p) {
+                                 return op::matmul(p[0], p[1]);
+                             });
+                     },
+                     {filled({3, 8}, 0.1), filled({8, 4}, 0.2)}});
+    cases.push_back({"flashattn.attention",
+                     [] {
+                         SymVar n = var("n");
+                         std::vector<PrimExpr> qkv{intImm(1), intImm(2), n,
+                                                   intImm(4)};
+                         return oneOpModule(
+                             {qkv, qkv, qkv},
+                             [](const std::vector<Var>& p) {
+                                 return op::attention(p[0], p[1], p[2], 0.5,
+                                                      /*causal=*/true);
+                             });
+                     },
+                     {filled({1, 2, 3, 4}, 0.1), filled({1, 2, 3, 4}, 0.3),
+                      filled({1, 2, 3, 4}, 0.2)}});
+    cases.push_back({"cutlass.rms_norm",
+                     [] {
+                         SymVar n = var("n");
+                         return oneOpModule(
+                             {{n, intImm(8)}, {intImm(8)}},
+                             [](const std::vector<Var>& p) {
+                                 return op::rmsNorm(p[0], p[1]);
+                             });
+                     },
+                     {filled({3, 8}, 0.1), filled({8}, 0.2)}});
+    cases.push_back({"cutlass.layer_norm",
+                     [] {
+                         SymVar n = var("n");
+                         return oneOpModule(
+                             {{n, intImm(8)}, {intImm(8)}, {intImm(8)}},
+                             [](const std::vector<Var>& p) {
+                                 return op::layerNorm(p[0], p[1], p[2]);
+                             });
+                     },
+                     {filled({3, 8}, 0.1), filled({8}, 0.2),
+                      filled({8}, 0.3)}});
+
+    for (const Case& c : cases) {
+        SCOPED_TRACE(c.library);
+        std::vector<Value> args(c.inputs.begin(), c.inputs.end());
+
+        frontend::CompileOptions gen_options;
+        gen_options.device = hostDevice()->spec(); // no libraries
+        VirtualMachine gen_machine(frontend::compile(c.build(), gen_options),
+                                   hostDevice(), true);
+        NDArray gen_out = std::get<NDArray>(gen_machine.invoke("main", args));
+
+        frontend::CompileOptions lib_options;
+        lib_options.device = device::rtx4090(); // vendor library path
+        ExecutablePtr lib_exec = frontend::compile(c.build(), lib_options);
+        int library_sites = 0;
+        for (const Instr& instr : lib_exec->functions.at("main").instrs) {
+            library_sites += instr.op == Instr::Op::kKernelCall &&
+                             instr.callee == c.library;
+        }
+        ASSERT_EQ(library_sites, 1);
+        VirtualMachine lib_machine(
+            lib_exec, std::make_shared<device::SimDevice>(device::rtx4090()),
+            true);
+        NDArray lib_out = std::get<NDArray>(lib_machine.invoke("main", args));
+        EXPECT_EQ(gen_out.shape(), lib_out.shape());
+        EXPECT_EQ(gen_out.data(), lib_out.data());
+    }
+}
+
+TEST(VMTest, LibrarySiteBindsCompositeDims)
+{
+    // A library site's argument may have a composite dim (here the
+    // concat's 2n) whose variable no argument of the site has bare. Its
+    // reference program still binds from the live tensors and matches
+    // the generated kernel.
+    auto build = [](bool library) {
         auto module = IRModule::create();
         shape::BlockBuilder builder(module);
         SymVar n = var("n");
         Var x = makeVar("x", tensorSInfo({n, intImm(8)}, DataType::f32()));
-        Var w = makeVar("w", tensorSInfo({intImm(8), intImm(4)},
-                                         DataType::f32()));
+        Var w = makeVar("w", tensorSInfo({intImm(8)}, DataType::f32()));
         builder.beginDataflowBlock();
-        Var out = builder.emitOutput(op::matmul(x, w));
+        Var y = builder.emit(op::concat({x, x}, 0));
+        Var out = builder.emitOutput(
+            library ? callDPSLibrary("cutlass.rms_norm", {y, w},
+                                     y->structInfo())
+                    : op::rmsNorm(y, w));
         builder.endBlock();
-        module->addFunction("main",
-                            makeFunction({x, w}, builder.finish(out),
-                                         out->structInfo()));
+        module->addFunction("main", makeFunction({x, w}, builder.finish(out),
+                                                 out->structInfo()));
         return module;
     };
-    NDArray x = NDArray::zeros({3, 8}, DataType::f32());
-    NDArray w = NDArray::zeros({8, 4}, DataType::f32());
-    for (int64_t i = 0; i < x.numel(); ++i) x.set(i, 0.1 * (double)(i % 7));
-    for (int64_t i = 0; i < w.numel(); ++i) w.set(i, 0.2 * (double)(i % 5));
-
-    frontend::CompileOptions gen_options;
-    gen_options.device = hostDevice()->spec(); // no libraries
-    VirtualMachine gen_machine(frontend::compile(build(), gen_options),
-                               hostDevice(), true);
-    NDArray gen_out = std::get<NDArray>(gen_machine.invoke("main", {x, w}));
-
-    frontend::CompileOptions lib_options;
-    lib_options.device = device::rtx4090(); // cublas path
-    auto dev = std::make_shared<device::SimDevice>(device::rtx4090());
-    VirtualMachine lib_machine(frontend::compile(build(), lib_options), dev,
-                               true);
-    NDArray lib_out = std::get<NDArray>(lib_machine.invoke("main", {x, w}));
+    frontend::CompileOptions options;
+    options.device = hostDevice()->spec();
+    std::vector<Value> args{filled({3, 8}, 0.1), filled({8}, 0.2)};
+    VirtualMachine gen(frontend::compile(build(false), options), hostDevice(),
+                       true);
+    VirtualMachine lib(frontend::compile(build(true), options), hostDevice(),
+                       true);
+    NDArray gen_out = std::get<NDArray>(gen.invoke("main", args));
+    NDArray lib_out = std::get<NDArray>(lib.invoke("main", args));
+    EXPECT_EQ(lib_out.shape(), (std::vector<int64_t>{6, 8}));
     EXPECT_EQ(gen_out.data(), lib_out.data());
+}
+
+TEST(VMTest, UnlinkedLibraryIsABuildError)
+{
+    // Calls bind when the executable is built, so a callee that no
+    // library links fails there, by name, before anything runs.
+    auto build = [] {
+        SymVar n = var("n");
+        return oneOpModule({{n, intImm(4)}}, [n](const std::vector<Var>& p) {
+            return callDPSLibrary("nosuch.gemm", {p[0]},
+                                  tensorSInfo({n, intImm(4)},
+                                              DataType::f32()));
+        });
+    };
+    frontend::CompileOptions options;
+    options.device = hostDevice()->spec();
+    try {
+        frontend::compile(build(), options);
+        FAIL() << "expected IRError";
+    } catch (const IRError& e) {
+        EXPECT_NE(std::string(e.what()).find("nosuch.gemm"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(VMTest, RaggedAttentionLibraryPricesPerSequence)
@@ -246,9 +386,7 @@ TEST(VMTest, RaggedAttentionLibraryPricesPerSequence)
     // per-group calls and a huge resident pool costs nothing per step.
     // Without host data it degrades to the worst case of the mapped
     // table width.
-    ensureLibrariesRegistered();
-    const LibraryKernel* kernel =
-        LibraryRegistry::global().find("flashattn.attention_ragged");
+    const LibraryKernel* kernel = findLibrary("flashattn.attention_ragged");
     ASSERT_NE(kernel, nullptr);
     device::DeviceSpec spec;
     spec.name = "host";
@@ -371,11 +509,13 @@ TEST(VMTest, KernelsDieWithTheirExecutable)
         for (const Instr& instr :
              exec->functions.at("decode_ragged").instrs) {
             if (instr.op == Instr::Op::kKernelCall && !instr.isLibrary) {
-                lowered = exec->module->getTIRFunc(instr.callee);
+                const KernelEntry& entry = exec->kernels[instr.kernel];
+                ASSERT_TRUE(entry.program);
+                lowered = entry.func;
                 break;
             }
         }
-        ASSERT_TRUE(exec->kernels.at(lowered.lock().get()).program);
+        ASSERT_FALSE(lowered.expired());
     }
     EXPECT_TRUE(kernel.expired());
     EXPECT_TRUE(lowered.expired());
@@ -383,33 +523,61 @@ TEST(VMTest, KernelsDieWithTheirExecutable)
 
 TEST(VMTest, DataModeLowersEachKernelOnce)
 {
-    // One cache entry per distinct generated kernel, lowered on the
-    // first data-mode call and reused by every later one.
+    // One program per distinct generated kernel and per library call
+    // site, lowered on the first data-mode call and reused by every
+    // later one. The rtx4090 dispatches GEMMs, attention and norms to
+    // its libraries, so both kinds of entry are exercised.
     frontend::LlamaConfig config = frontend::LlamaConfig::tiny();
     frontend::CompileOptions options;
-    options.device = hostDevice()->spec();
+    options.device = device::rtx4090();
     ExecutablePtr exec =
         frontend::compile(frontend::buildLlama(config), options);
     std::set<const tir::PrimFuncNode*> launched =
         generatedKernels(*exec, "decode_ragged");
     ASSERT_FALSE(launched.empty());
+
+    // The entries decode_ragged binds: generated sites share their
+    // kernel's entry, and every library site has its own.
+    std::set<int32_t> generated, library;
+    size_t library_sites = 0;
+    for (const Instr& instr : exec->functions.at("decode_ragged").instrs) {
+        if (instr.op != Instr::Op::kKernelCall) continue;
+        ASSERT_GE(instr.kernel, 0) << instr.callee;
+        if (instr.isLibrary) {
+            library.insert(instr.kernel);
+            ++library_sites;
+        } else {
+            generated.insert(instr.kernel);
+            EXPECT_TRUE(launched.count(exec->kernels[instr.kernel].func.get()));
+        }
+    }
+    EXPECT_EQ(generated.size(), launched.size());
+    ASSERT_FALSE(library.empty());
+    EXPECT_EQ(library.size(), library_sites);
+    std::set<int32_t> expected = generated;
+    expected.insert(library.begin(), library.end());
+
+    auto lowered = [&] {
+        std::map<int32_t, const tir::SlotProgram*> programs;
+        for (size_t i = 0; i < exec->kernels.size(); ++i) {
+            if (exec->kernels[i].program) {
+                programs[(int32_t)i] = exec->kernels[i].program.get();
+            }
+        }
+        return programs;
+    };
     std::vector<Value> args = raggedDecodeArgs(config);
-    VirtualMachine machine(exec, hostDevice(), /*data_mode=*/true);
+    VirtualMachine machine(
+        exec, std::make_shared<device::SimDevice>(device::rtx4090()),
+        /*data_mode=*/true);
+    machine.invoke("decode_ragged", args);
+    std::map<int32_t, const tir::SlotProgram*> first = lowered();
+    std::set<int32_t> first_keys;
+    for (const auto& [index, program] : first) first_keys.insert(index);
+    EXPECT_EQ(first_keys, expected);
 
     machine.invoke("decode_ragged", args);
-    std::map<const tir::PrimFuncNode*, const tir::SlotProgram*> programs;
-    for (const auto& [func, entry] : exec->kernels) {
-        EXPECT_TRUE(launched.count(func));
-        ASSERT_TRUE(entry.program);
-        programs[func] = entry.program.get();
-    }
-    EXPECT_EQ(programs.size(), launched.size());
-
-    machine.invoke("decode_ragged", args);
-    EXPECT_EQ(exec->kernels.size(), launched.size());
-    for (const auto& [func, entry] : exec->kernels) {
-        EXPECT_EQ(entry.program.get(), programs.at(func));
-    }
+    EXPECT_EQ(lowered(), first);
 }
 
 } // namespace
