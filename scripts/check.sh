@@ -199,7 +199,7 @@ echo "exported JSON validated (trace, metrics, bench snapshot)"
 #     be present in the bench JSON;
 #  2. RELAX_ALIAS_CHECK=1 must not perturb the timing-mode run — the
 #     shadow copy-in/copy-out reference only engages in data mode;
-#  3. the 40-seed fuzz corpus re-runs with every in-place kernel executed
+#  3. the whole tier-1 suite re-runs with every in-place kernel executed
 #     twice (aliased vs copy-in/copy-out) and bit-compared.
 plan_line="$(json_get BENCH_serve.json memory_plan)"
 if [[ -z "$plan_line" ]]; then
@@ -220,7 +220,8 @@ if [[ -z "$alias_fcfs" || "$alias_fcfs" != "$base_fcfs" ]]; then
 fi
 echo "alias-check identity gate passed (FCFS: ${alias_fcfs} tok/s)"
 
-echo "== instrumented fuzz smoke (differential alias verification)"
+echo "== instrumented tier-1 suite (differential alias verification)"
+# shellcheck disable=SC2086  # CTEST_ARGS is intentionally word-split
 RELAX_ALIAS_CHECK=1 RELAX_VERIFY_ALIAS=1 \
-  ./test_serve --gtest_filter='FuzzTraceTest.*' > /dev/null
-echo "instrumented fuzz smoke passed (in-place kernels bit-identical)"
+  ctest --output-on-failure -j "$jobs" ${CTEST_ARGS:-}
+echo "instrumented tier-1 suite passed (in-place kernels bit-identical)"

@@ -159,8 +159,8 @@ class SlotProgram
     std::vector<int32_t> operands;
     /** The register file at entry: constants set, everything else 0. */
     std::vector<double> registers;
-    /** The variables bindShapes binds, and their slots. */
-    std::vector<std::pair<Var, int32_t>> entry;
+    /** The slot of each of entryVars(func), in order. */
+    std::vector<int32_t> entry;
     /** Buffer slot of each parameter. */
     std::vector<int32_t> params;
     int32_t numBuffers = 0;
@@ -181,16 +181,15 @@ class Lowerer
     void
     lowerFunc(const PrimFunc& func)
     {
-        for (const Var& v : func->symParams) bindEntry(v);
+        for (const Var& v : entryVars(func)) {
+            int32_t slot = slotOf(v.get());
+            setBound(vars_, slot, true);
+            p_.entry.push_back(slot);
+        }
         for (const Buffer& buffer : func->params) {
             int32_t slot = bufferOf(*buffer);
             p_.params.push_back(slot);
             setBound(buffers_, slot, true);
-            for (const PrimExpr& dim : buffer->shape) {
-                if (dim->kind() == ExprKind::kVar) {
-                    bindEntry(std::static_pointer_cast<const VarNode>(dim));
-                }
-            }
         }
         lowerStmt(func->body);
     }
@@ -244,15 +243,6 @@ class Lowerer
     {
         p_.names.push_back(text);
         return (int32_t)p_.names.size() - 1;
-    }
-
-    void
-    bindEntry(Var v)
-    {
-        int32_t slot = slotOf(v.get());
-        if (isBound(vars_, slot)) return;
-        setBound(vars_, slot, true);
-        p_.entry.emplace_back(std::move(v), slot);
     }
 
     /** Slot of the buffer an access reads or writes. */
@@ -491,6 +481,26 @@ flatIndex(const BufferSlot& buffer, const int32_t* indices, int32_t rank,
 
 } // namespace
 
+std::vector<Var>
+entryVars(const PrimFunc& func)
+{
+    std::vector<Var> vars;
+    auto add = [&](Var v) {
+        if (std::find(vars.begin(), vars.end(), v) == vars.end()) {
+            vars.push_back(std::move(v));
+        }
+    };
+    for (const Var& v : func->symParams) add(v);
+    for (const Buffer& buffer : func->params) {
+        for (const PrimExpr& dim : buffer->shape) {
+            if (dim->kind() == ExprKind::kVar) {
+                add(std::static_pointer_cast<const VarNode>(dim));
+            }
+        }
+    }
+    return vars;
+}
+
 std::shared_ptr<const SlotProgram>
 lower(const PrimFunc& func)
 {
@@ -501,18 +511,19 @@ lower(const PrimFunc& func)
 
 void
 execute(const SlotProgram& p, const std::vector<NDArray>& args,
-        const VarBinding& binding)
+        const std::vector<int64_t>& entry)
 {
     RELAX_ICHECK(args.size() == p.params.size())
         << "expected " << p.params.size() << " buffer arguments, got "
         << args.size();
+    RELAX_ICHECK(entry.size() == p.entry.size())
+        << "expected " << p.entry.size() << " entry values, got "
+        << entry.size();
     std::vector<double> regs = p.registers;
     std::vector<char> bound(regs.size(), 0);
-    for (const auto& [v, slot] : p.entry) {
-        auto it = binding.find(v.get());
-        RELAX_ICHECK(it != binding.end()) << "no binding for " << v->name;
-        regs[slot] = (double)it->second;
-        bound[slot] = 1;
+    for (size_t i = 0; i < entry.size(); ++i) {
+        regs[p.entry[i]] = (double)entry[i];
+        bound[p.entry[i]] = 1;
     }
     std::vector<BufferSlot> buffers(p.numBuffers);
     for (size_t i = 0; i < args.size(); ++i) {
@@ -727,7 +738,9 @@ run(const PrimFunc& func, const std::vector<NDArray>& args,
     const std::vector<int64_t>& sym_args)
 {
     VarBinding binding = bindShapes(func, args, sym_args);
-    execute(*lower(func), args, binding);
+    std::vector<int64_t> entry;
+    for (const Var& v : entryVars(func)) entry.push_back(binding.at(v.get()));
+    execute(*lower(func), args, entry);
 }
 
 } // namespace tir

@@ -28,11 +28,17 @@ namespace tir {
 
 /**
  * A tensor program lowered for execution (see the file comment).
- * Immutable, so one program serves any number of calls; it keeps the
- * symbolic variables it binds alive but holds no reference to its
- * PrimFunc.
+ * Immutable, so one program serves any number of calls; it holds no
+ * reference to its PrimFunc.
  */
 class SlotProgram;
+
+/**
+ * The variables bindShapes binds, in the order execute() takes their
+ * values: func->symParams, then every buffer dim that is a bare variable,
+ * each at its first occurrence.
+ */
+std::vector<Var> entryVars(const PrimFunc& func);
 
 /** Lowers `func` into a slot program. */
 std::shared_ptr<const SlotProgram> lower(const PrimFunc& func);
@@ -42,10 +48,10 @@ std::shared_ptr<const SlotProgram> lower(const PrimFunc& func);
  *
  * @param program The result of lower(func).
  * @param args One NDArray per buffer parameter of func, outputs included.
- * @param binding What bindShapes(func, args, sym_args) returned.
+ * @param entry The value of each of entryVars(func), in order.
  */
 void execute(const SlotProgram& program, const std::vector<NDArray>& args,
-             const VarBinding& binding);
+             const std::vector<int64_t>& entry);
 
 /**
  * Executes a tensor program in destination-passing style: binds shapes,

@@ -1,14 +1,15 @@
 /**
  * @file
  * VM code generation (§4.7): translates lowered graph functions into
- * instruction sequences. Symbolic variables referenced anywhere in a
- * function are populated by MatchShape instructions over the input
- * tensors; every remaining symbolic expression is carried in the
- * instructions and evaluated against the populated symbol table. Then
- * every call is bound to its target.
+ * instruction sequences. Every symbolic variable a function binds gets a
+ * slot in its frame, written by MatchShape instructions over the input
+ * tensors; every remaining symbolic expression is compiled into the
+ * function's shape program, over those slots. Then every call is bound
+ * to its target, and every kernel to the way a call binds its variables.
  */
 #include "vm/exec.h"
 
+#include <algorithm>
 #include <sstream>
 #include <unordered_map>
 #include <unordered_set>
@@ -51,10 +52,57 @@ class FunctionCodegen
         ret.args.push_back(regOfExpr(seq->body));
         out_.instrs.push_back(std::move(ret));
         out_.numRegs = nextReg_;
-        return out_;
+        lowerShapes();
+        out_.instrs.shrink_to_fit();
+        return std::move(out_);
     }
 
   private:
+    /** The frame slot of a symbolic variable the function binds. */
+    int32_t
+    slotOf(const PrimExpr& dim)
+    {
+        auto v = std::static_pointer_cast<const ::relax::VarNode>(dim);
+        auto [it, inserted] =
+            symbolSlots_.emplace(v.get(), (int32_t)symbols_.size());
+        if (inserted) symbols_.push_back(std::move(v));
+        return it->second;
+    }
+
+    /**
+     * Compiles every expression of the instructions into the shape
+     * program, in execution order: one that reads a variable no earlier
+     * instruction has bound fails where it runs, as evaluating it would.
+     */
+    void
+    lowerShapes()
+    {
+        out_.shapes = ShapeProgram(symbols_);
+        ShapeProgram::Compiler compiler(out_.shapes);
+        std::vector<char> bound(symbols_.size(), 0);
+        auto compile = [&](ShapeExpr& expr) {
+            expr.id = compiler.compile(expr.source, &bound);
+        };
+        for (Instr& instr : out_.instrs) {
+            for (const auto& [dim, slot] : instr.binds) bound[slot] = 1;
+            for (auto& [dim, check] : instr.checks) compile(check);
+            if (instr.sizeExpr.source) compile(instr.sizeExpr);
+            for (ShapeExpr& dim : instr.shape) compile(dim);
+            for (ShapeExpr& expr : instr.symExprs) compile(expr);
+            for (auto& shape : instr.argShapes) {
+                for (ShapeExpr& dim : shape) compile(dim);
+            }
+            if (instr.op != Instr::Op::kGraphBegin) continue;
+            for (size_t slot = 0; slot < bound.size(); ++slot) {
+                if (bound[slot]) instr.symbols.push_back((int32_t)slot);
+            }
+            std::sort(instr.symbols.begin(), instr.symbols.end(),
+                      [&](int32_t a, int32_t b) {
+                          return symbols_[a]->name < symbols_[b]->name;
+                      });
+        }
+    }
+
     RegIndex
     regOf(const VarNode* v)
     {
@@ -103,10 +151,7 @@ class FunctionCodegen
                     const auto* v =
                         static_cast<const ::relax::VarNode*>(dim.get());
                     if (bound.insert(v).second) {
-                        instr.binds.emplace_back(
-                            (int)d,
-                            std::static_pointer_cast<const ::relax::VarNode>(
-                                dim));
+                        instr.binds.emplace_back((int)d, slotOf(dim));
                         continue;
                     }
                 }
@@ -149,7 +194,7 @@ class FunctionCodegen
             if (!call->args.empty()) {
                 instr.args.push_back(regOfExpr(call->args[0])); // storage
             }
-            instr.shape = *tensor->shape;
+            instr.shape.assign(tensor->shape->begin(), tensor->shape->end());
             instr.dtype = tensor->dtype;
             out_.instrs.push_back(std::move(instr));
             return;
@@ -158,7 +203,7 @@ class FunctionCodegen
             const auto* call = static_cast<const CallNode*>(value.get());
             Instr instr;
             instr.op = Instr::Op::kKernelCall;
-            instr.attrs = call->attrs;
+            instr.attrs = std::shared_ptr<const Attrs>(value, &call->attrs);
             instr.numInputs =
                 (int)std::get<int64_t>(call->attrs.at("num_inputs"));
             instr.numOutputs =
@@ -184,10 +229,11 @@ class FunctionCodegen
                     // bucketed graph regions (DESIGN.md §4).
                     const auto* tensor =
                         asTensor(call->args[1 + i]->structInfo());
-                    instr.argShapes.push_back(
-                        tensor && tensor->shape
-                            ? *tensor->shape
-                            : std::vector<PrimExpr>{});
+                    instr.argShapes.emplace_back();
+                    if (tensor && tensor->shape) {
+                        instr.argShapes.back().assign(tensor->shape->begin(),
+                                                      tensor->shape->end());
+                    }
                 }
             }
             for (int64_t i = 0; i < num_sym; ++i) {
@@ -207,7 +253,7 @@ class FunctionCodegen
             instr.callee = static_cast<const ExternFuncNode*>(
                                call->args[0].get())
                                ->name;
-            instr.attrs = call->attrs;
+            instr.attrs = std::shared_ptr<const Attrs>(value, &call->attrs);
             for (size_t i = 1; i < call->args.size(); ++i) {
                 instr.args.push_back(regOfExpr(call->args[i]));
             }
@@ -285,9 +331,7 @@ class FunctionCodegen
         for (size_t d = 0; d < tensor->shape->size(); ++d) {
             const PrimExpr& dim = (*tensor->shape)[d];
             if (dim->kind() == ExprKind::kVar) {
-                match.binds.emplace_back(
-                    (int)d,
-                    std::static_pointer_cast<const ::relax::VarNode>(dim));
+                match.binds.emplace_back((int)d, slotOf(dim));
             } else {
                 match.checks.emplace_back((int)d, dim);
             }
@@ -300,6 +344,8 @@ class FunctionCodegen
     std::unordered_map<const VarNode*, RegIndex> regs_;
     std::unordered_map<const ConstantNode*, RegIndex> constRegs_;
     int nextReg_ = 0;
+    std::vector<::relax::Var> symbols_;
+    std::unordered_map<const ::relax::VarNode*, int32_t> symbolSlots_;
 };
 
 /** Binds a call to its target; `generated` maps kernel names to entries. */
@@ -312,10 +358,10 @@ bindTarget(Executable& exec,
         auto [it, inserted] =
             generated.emplace(instr.callee, (int32_t)exec.kernels.size());
         if (inserted) {
+            tir::PrimFunc func = exec.module->getTIRFunc(instr.callee);
+            RELAX_ICHECK(func) << "missing kernel " << instr.callee;
             exec.kernels.emplace_back();
-            exec.kernels.back().func = exec.module->getTIRFunc(instr.callee);
-            RELAX_ICHECK(exec.kernels.back().func)
-                << "missing kernel " << instr.callee;
+            exec.kernels.back().setFunc(std::move(func));
         }
         instr.kernel = it->second;
         return;
@@ -340,6 +386,48 @@ bindTarget(Executable& exec,
 
 } // namespace
 
+void
+KernelEntry::setFunc(tir::PrimFunc kernel)
+{
+    func = std::move(kernel);
+    shapes = ShapeProgram(tir::entryVars(func));
+    binds.clear();
+    const std::vector<::relax::Var>& vars = shapes.slots();
+    auto slotOf = [&](const PrimExpr& v) {
+        return (int32_t)(std::find(vars.begin(), vars.end(), v) -
+                         vars.begin());
+    };
+    using Kind = BindStep::Kind;
+    std::vector<char> bound(vars.size(), 0);
+    for (size_t k = 0; k < func->symParams.size(); ++k) {
+        int32_t slot = slotOf(func->symParams[k]);
+        binds.push_back({Kind::kSymArg, (int32_t)k, 0, slot});
+        bound[slot] = 1;
+    }
+    // Two rounds, as in bindShapes: bare variables bind (or must agree)
+    // first, then every other dim is checked.
+    for (size_t i = 0; i < func->params.size(); ++i) {
+        const std::vector<PrimExpr>& shape = func->params[i]->shape;
+        binds.push_back({Kind::kRank, (int32_t)i, 0, (int32_t)shape.size()});
+        for (size_t d = 0; d < shape.size(); ++d) {
+            if (shape[d]->kind() != ExprKind::kVar) continue;
+            int32_t slot = slotOf(shape[d]);
+            binds.push_back({bound[slot] ? Kind::kSame : Kind::kBind,
+                             (int32_t)i, (int32_t)d, slot});
+            bound[slot] = 1;
+        }
+    }
+    ShapeProgram::Compiler compiler(shapes);
+    for (size_t i = 0; i < func->params.size(); ++i) {
+        const std::vector<PrimExpr>& shape = func->params[i]->shape;
+        for (size_t d = 0; d < shape.size(); ++d) {
+            if (shape[d]->kind() == ExprKind::kVar) continue;
+            binds.push_back({Kind::kCheck, (int32_t)i, (int32_t)d,
+                             compiler.compile(shape[d])});
+        }
+    }
+}
+
 ExecutablePtr
 buildExecutable(const IRModulePtr& module)
 {
@@ -350,10 +438,22 @@ buildExecutable(const IRModulePtr& module)
     }
     std::unordered_map<std::string, int32_t> generated;
     for (auto& [name, func] : exec->functions) {
+        const std::vector<::relax::Var>& symbols = func.shapes.slots();
         for (Instr& instr : func.instrs) {
-            if (instr.op == Instr::Op::kKernelCall ||
-                instr.op == Instr::Op::kPackedCall) {
-                bindTarget(*exec, generated, instr);
+            if (instr.op != Instr::Op::kKernelCall &&
+                instr.op != Instr::Op::kPackedCall) {
+                continue;
+            }
+            bindTarget(*exec, generated, instr);
+            if (instr.op != Instr::Op::kKernelCall || instr.isLibrary ||
+                instr.kernel < 0) {
+                continue;
+            }
+            for (const auto& v : exec->kernels[instr.kernel].shapes.slots()) {
+                auto it = std::find(symbols.begin(), symbols.end(), v);
+                instr.symbols.push_back(
+                    it == symbols.end() ? -1
+                                        : (int32_t)(it - symbols.begin()));
             }
         }
     }
@@ -370,24 +470,30 @@ toString(const VMFunction& func)
         switch (instr.op) {
           case Instr::Op::kMatchShape:
             os << "  match_shape r" << instr.args[0];
-            for (const auto& [dim, v] : instr.binds) {
-                os << " [" << dim << "]->" << v->name;
+            for (const auto& [dim, slot] : instr.binds) {
+                os << " [" << dim << "]->" << func.shapes.slots()[slot]->name;
             }
             for (const auto& [dim, expr] : instr.checks) {
-                os << " check[" << dim << "]==" << relax::toString(expr);
+                os << " check[" << dim
+                   << "]==" << relax::toString(expr.source);
             }
             break;
           case Instr::Op::kAllocStorage:
             os << "  r" << instr.dst << " = alloc_storage("
-               << relax::toString(instr.sizeExpr) << ")";
+               << relax::toString(instr.sizeExpr.source) << ")";
             break;
-          case Instr::Op::kAllocTensor:
+          case Instr::Op::kAllocTensor: {
+            std::vector<PrimExpr> shape;
+            for (const ShapeExpr& dim : instr.shape) {
+                shape.push_back(dim.source);
+            }
             os << "  r" << instr.dst << " = alloc_tensor("
-               << relax::toString(instr.shape) << ", "
+               << relax::toString(shape) << ", "
                << instr.dtype.toString();
             if (!instr.args.empty()) os << ", storage=r" << instr.args[0];
             os << ")";
             break;
+          }
           case Instr::Op::kKernelCall:
             os << "  kernel_call " << instr.callee
                << (instr.isLibrary ? " [lib]" : "") << " regs(";

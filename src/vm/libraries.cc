@@ -30,7 +30,7 @@ namespace {
 using Shapes = std::vector<std::vector<PrimExpr>>;
 
 double
-totalBytes(const std::vector<NDArray>& args)
+totalBytes(const std::vector<PricedArg>& args)
 {
     double bytes = 0;
     for (const auto& a : args) bytes += (double)a.sizeBytes();
@@ -55,11 +55,11 @@ LibraryKernel
 gemm()
 {
     LibraryKernel kernel;
-    kernel.cost = [](const std::vector<NDArray>& args, const ir::Attrs&,
+    kernel.cost = [](const std::vector<PricedArg>& args, const ir::Attrs&,
                      const device::DeviceSpec& spec) {
-        const NDArray& a = args[0];
-        const NDArray& out = args.back();
-        int64_t k = a.shape().back();
+        const PricedArg& a = args[0];
+        const PricedArg& out = args.back();
+        int64_t k = a.dim(a.rank() - 1);
         device::KernelCost cost;
         cost.flops = 2.0 * (double)out.numel() * (double)k;
         cost.bytes = totalBytes(args);
@@ -79,12 +79,13 @@ LibraryKernel
 attention()
 {
     LibraryKernel kernel;
-    kernel.cost = [](const std::vector<NDArray>& args, const ir::Attrs&,
+    kernel.cost = [](const std::vector<PricedArg>& args, const ir::Attrs&,
                      const device::DeviceSpec& spec) {
-        const auto& q = args[0].shape(); // [b, h, n, d]
-        const auto& k = args[1].shape(); // [b, h, m, d]
+        const PricedArg& q = args[0]; // [b, h, n, d]
+        const PricedArg& k = args[1]; // [b, h, m, d]
         device::KernelCost cost;
-        cost.flops = 4.0 * (double)q[0] * q[1] * q[2] * k[2] * q[3];
+        cost.flops = 4.0 * (double)q.dim(0) * q.dim(1) * q.dim(2) *
+                     k.dim(2) * q.dim(3);
         // IO-aware attention: only q, k, v and out touch device memory.
         cost.bytes = totalBytes(args);
         cost.efficiency = spec.libAttentionEfficiency;
@@ -116,16 +117,16 @@ raggedAttention()
     // size. Shape padding from a bucketed capture region is benign: the
     // zero-filled tail of cu clamps to fresh 0 and prices nothing.
     LibraryKernel kernel;
-    kernel.cost = [](const std::vector<NDArray>& args, const ir::Attrs&,
+    kernel.cost = [](const std::vector<PricedArg>& args, const ir::Attrs&,
                      const device::DeviceSpec& spec) {
-        const auto& q = args[0].shape();     // [1, h, n, d] packed
-        const auto& pool = args[1].shape();  // [p, h, c, d] K pool
-        const NDArray& lens = args[3];       // [b] true context lengths
-        const NDArray& cu = args[4];         // [b+1] cumulative fresh
-        int64_t h = q[1], n = q[2], d = q[3];
-        int64_t dv = args[2].shape()[3];
+        const PricedArg& q = args[0];    // [1, h, n, d] packed
+        const PricedArg& pool = args[1]; // [p, h, c, d] K pool
+        const PricedArg& lens = args[3]; // [b] true context lengths
+        const PricedArg& cu = args[4];   // [b+1] cumulative fresh
+        int64_t h = q.dim(1), n = q.dim(2), d = q.dim(3);
+        int64_t dv = args[2].dim(3);
         // Keys range over the mapped table width, not the pool size.
-        int64_t m = args[5].shape()[1] * pool[2];
+        int64_t m = args[5].dim(1) * pool.dim(2);
         double query_kv = 0.0;  // sum over rows of fresh_i * kv_i
         double kv_positions = 0.0;
         if (lens.hasData() && cu.hasData()) {
@@ -179,7 +180,7 @@ norm(tir::PrimFunc (*make)(const std::string&, const std::vector<PrimExpr>&,
      const char* name)
 {
     LibraryKernel kernel;
-    kernel.cost = [](const std::vector<NDArray>& args, const ir::Attrs&,
+    kernel.cost = [](const std::vector<PricedArg>& args, const ir::Attrs&,
                      const device::DeviceSpec& spec) {
         device::KernelCost cost;
         cost.flops = 4.0 * (double)args[0].numel();
@@ -202,9 +203,9 @@ kvAppend()
     // production paged cache the paper's system uses). Data mode realizes
     // the append as a concat so results stay exact.
     LibraryKernel append;
-    append.cost = [](const std::vector<NDArray>& args, const ir::Attrs&,
+    append.cost = [](const std::vector<PricedArg>& args, const ir::Attrs&,
                      const device::DeviceSpec& spec) {
-        const NDArray& fresh = args[1]; // [b, h, 1, d]
+        const PricedArg& fresh = args[1]; // [b, h, 1, d]
         device::KernelCost cost;
         cost.bytes = 2.0 * (double)fresh.sizeBytes();
         cost.flops = 0.0;
@@ -231,11 +232,11 @@ kvAppendRagged()
     // size or the padded packed axis. Args: pool, fresh, lens, cu,
     // table, out (== pool).
     LibraryKernel ragged;
-    ragged.cost = [](const std::vector<NDArray>& args, const ir::Attrs&,
+    ragged.cost = [](const std::vector<PricedArg>& args, const ir::Attrs&,
                      const device::DeviceSpec& spec) {
-        const NDArray& fresh = args[1]; // [1, h, n, d] packed
-        const NDArray& cu = args[3];    // [b+1] cumulative fresh
-        double tokens = (double)fresh.shape()[2]; // padded worst case
+        const PricedArg& fresh = args[1]; // [1, h, n, d] packed
+        const PricedArg& cu = args[3];    // [b+1] cumulative fresh
+        double tokens = (double)fresh.dim(2); // padded worst case
         if (cu.hasData()) {
             // Sum of per-row fresh counts; the zero-filled padded tail
             // clamps to zero.
@@ -245,8 +246,7 @@ kvAppendRagged()
                     (int64_t)cu.at(i + 1) - (int64_t)cu.at(i), 0);
             }
         }
-        double token_bytes = (double)fresh.shape()[1] *
-                             (double)fresh.shape()[3] *
+        double token_bytes = (double)fresh.dim(1) * (double)fresh.dim(3) *
                              (double)fresh.dtype().bytes();
         device::KernelCost cost;
         cost.bytes = 2.0 * tokens * token_bytes +
@@ -277,7 +277,7 @@ uniqueBuiltin()
 {
     // unique: data-dependent output; allocates its own result (appended).
     LibraryKernel unique;
-    unique.cost = [](const std::vector<NDArray>& args, const ir::Attrs&,
+    unique.cost = [](const std::vector<PricedArg>& args, const ir::Attrs&,
                      const device::DeviceSpec&) {
         device::KernelCost cost;
         cost.bytes = 2.0 * (double)args[0].sizeBytes();

@@ -2,15 +2,18 @@
  * @file
  * The virtual machine: the per-instruction executors (MatchShape /
  * AllocStorage / AllocTensor / KernelCall / PackedCall) and the pricing
- * of generated kernels on the device roofline. Data mode runs every DPS
- * kernel, generated or library, through its entry's lowered program.
+ * of generated kernels on the device roofline. Every symbolic value is
+ * read from the slot frame through the function's shape program, and a
+ * kernel call binds the kernel's variables by its entry's bind steps, so
+ * no instruction walks an expression or builds a binding map. Data mode
+ * runs every DPS kernel, generated or library, through its entry's
+ * lowered program.
  */
 #include "vm/vm.h"
 #include <cstdlib>
 
 #include <algorithm>
 #include <atomic>
-#include <sstream>
 
 #include "device/interconnect.h"
 #include "tir/analysis.h"
@@ -37,21 +40,28 @@ aliasCheckEnabled()
  * check): the aliased run already executed on `aliased`; `ref` holds
  * deep copies taken before it, on which the caller re-ran the kernel
  * with NO aliasing (the copied output buffer is distinct from the
- * copied input — copy-in/copy-out semantics). Every argument except the
- * aliased input itself must now be bit-identical across the two runs:
- * outputs prove the in-place rewrite did not change results, inputs
- * prove the kernel wrote nothing it does not own.
+ * copied input — copy-in/copy-out semantics). Every output, and every
+ * input that does not share storage with the aliased input, must now be
+ * bit-identical across the two runs: outputs prove the in-place rewrite
+ * did not change results, inputs prove the kernel wrote nothing it does
+ * not own.
  */
 void
 diffAliasedRun(const Instr& instr, const std::vector<NDArray>& aliased,
                const std::vector<NDArray>& ref)
 {
-    auto inplace = std::get<int64_t>(instr.attrs.at("inplace_arg"));
+    const NDArray& target =
+        aliased[std::get<int64_t>(instr.attrs->at("inplace_arg"))];
     for (size_t i = 0; i < aliased.size(); ++i) {
-        // The aliased input shares storage with the output in the
-        // aliased run only; its pre-state copy legitimately differs.
-        if ((int64_t)i == inplace) continue;
         if (!aliased[i].hasData() || !ref[i].hasData()) continue;
+        // An input sharing storage with the aliased input (that input
+        // itself, or the same tensor passed twice, as in add(x, x)) was
+        // overwritten in the aliased run only; its pre-state copy
+        // legitimately differs.
+        if (i < (size_t)instr.numInputs && target.hasData() &&
+            &aliased[i].data() == &target.data()) {
+            continue;
+        }
         if (aliased[i].data() != ref[i].data()) {
             RELAX_THROW(RuntimeError)
                 << "RELAX_ALIAS_CHECK: '" << instr.callee << "' arg " << i
@@ -94,14 +104,19 @@ namespace {
 struct Frame
 {
     std::vector<Value> regs;
-    VarBinding symbols; //!< the runtime symbolic shape table (§4.7)
+    /** The shape program's registers, whose slots hold the live symbolic
+     *  values: the host shape tensor (§4.7). */
+    std::vector<int64_t> live;
     /**
-     * Inside a bucketed graph region: symbolic values rounded up to the
-     * region's bucket boundary. Kernel *pricing* uses these (the captured
-     * graph launches padded kernels); data-mode compute always runs at
-     * the real shapes, which is what keeps replay bit-identical.
+     * The same registers inside a bucketed graph region, with every
+     * symbol bound before the region rounded up to its bucket ceiling.
+     * Kernel *pricing* reads these (the captured graph launches padded
+     * kernels); data-mode compute always runs at the real shapes, which
+     * is what keeps replay bit-identical. A slot is padded while its two
+     * values differ.
      */
-    VarBinding paddedSymbols;
+    std::vector<int64_t> padded;
+    bool padding = false; //!< some slot is padded
     /** Pool allocations owned by this call (returned to pool at exit). */
     std::vector<int64_t> pooledBytes;
 };
@@ -130,74 +145,94 @@ asTensorValue(Value& value, const char* what)
     return *array;
 }
 
-/**
- * Stand-in for `array` at the padded shape: metadata-only normally, but
- * integer host tensors (e.g. the ragged length vector — the only data
- * any cost model reads) keep their values in the prefix — the padded
- * tail reads as zeros, so phantom rows price as empty sequences. Large
- * payload tensors are never copied: their cost contribution is shape-only.
- */
-NDArray
-padForPricing(const NDArray& array, std::vector<int64_t> padded_shape)
+/** Throws the ShapeError evalInt throws for an expression it cannot
+ *  evaluate. */
+[[noreturn, gnu::noinline, gnu::cold]] void
+unevaluable(const PrimExpr& expr)
 {
-    bool host_metadata = array.hasData() && (array.dtype().isInt() ||
-                                             array.dtype().isUInt());
-    if (!host_metadata) {
-        return NDArray::metaOnly(std::move(padded_shape), array.dtype());
-    }
-    NDArray padded = NDArray::zeros(padded_shape, array.dtype());
-    const auto& shape = array.shape();
-    std::vector<int64_t> index(shape.size(), 0);
-    for (int64_t flat = 0; flat < array.numel(); ++flat) {
-        padded.set(padded.flatten(index), array.at(flat));
-        for (size_t d = shape.size(); d-- > 0;) {
-            if (++index[d] < shape[d]) break;
-            index[d] = 0;
-        }
-    }
-    return padded;
+    RELAX_THROW(ShapeError)
+        << "cannot evaluate symbolic expression " << relax::toString(expr)
+        << " (unbound variable or non-integer node)";
 }
 
-/** Efficiency class of a generated kernel whose cost is `flops`, `bytes`. */
-double
-generatedKernelEfficiency(const KernelEntry& kernel, double flops,
-                          double bytes, const VarBinding& binding,
-                          const device::DeviceSpec& spec)
+/** Expression `id` of `program` over `regs`, which fails as evalInt of
+ *  its `source` would. */
+int64_t
+evalShape(const ShapeProgram& program, int32_t id, int64_t* regs,
+          const PrimExpr& source)
 {
-    // Fused kernels lose their single-op classification; detect a matmul
-    // core by arithmetic intensity instead.
-    bool has_fma = kernel.kind == tir::PatternKind::kOutputEwiseFusible ||
-                   (bytes > 0 && flops / bytes > 16.0);
-    if (!has_fma) return spec.genElemwiseEfficiency;
-    // Matrix-vector (single output row) uses the tuned gemv schedule.
-    const tir::Buffer& out = kernel.func->params.back();
-    int64_t rows = 1;
-    for (size_t d = 0; d + 1 < out->shape.size(); ++d) {
-        rows *= evalInt(out->shape[d], binding);
-    }
-    return rows <= 1 ? spec.genGemvEfficiency : spec.genGemmEfficiency;
+    std::optional<int64_t> value = program.tryEval(id, regs);
+    if (!value) unevaluable(source);
+    return *value;
 }
 
 /**
  * A library site's shapes for its reference program: each annotated dim
  * that is a variable or constant, else (a composite or unannotated dim) a
- * fresh variable, which bindShapes binds from the tensor.
+ * fresh variable, which the call binds from the tensor.
  */
 std::vector<std::vector<PrimExpr>>
-siteShapes(const Instr& instr, const std::vector<NDArray>& args)
+siteShapes(const Instr& instr, const std::vector<const NDArray*>& args)
 {
     std::vector<std::vector<PrimExpr>> shapes(args.size());
     for (size_t i = 0; i < args.size(); ++i) {
-        const std::vector<PrimExpr>& site = instr.argShapes[i];
-        for (size_t d = 0; d < args[i].shape().size(); ++d) {
-            bool keep = d < site.size() && (site[d]->kind() == ExprKind::kVar ||
-                                             asIntImm(site[d]));
-            shapes[i].push_back(keep ? site[d]
+        const std::vector<ShapeExpr>& site = instr.argShapes[i];
+        for (size_t d = 0; d < args[i]->shape().size(); ++d) {
+            const PrimExpr* dim = d < site.size() ? &site[d].source : nullptr;
+            bool keep = dim && ((*dim)->kind() == ExprKind::kVar ||
+                                asIntImm(*dim));
+            shapes[i].push_back(keep ? *dim
                                      : var("d" + std::to_string(i) + "_" +
                                            std::to_string(d)));
         }
     }
     return shapes;
+}
+
+/** Compiles a generated kernel's roofline cost into its shape program. */
+void
+compileCost(KernelEntry& kernel)
+{
+    tir::TensorProgramCost cost = tir::analyzeCost(kernel.func);
+    kernel.flops = cost.flops;
+    kernel.bytes = cost.bytes;
+    ShapeProgram::Compiler compiler(kernel.shapes);
+    kernel.flopsId = compiler.compile(cost.flops);
+    kernel.bytesId = compiler.compile(cost.bytes);
+    const std::vector<PrimExpr>& out = kernel.func->params.back()->shape;
+    PrimExpr rows = intImm(1);
+    for (size_t d = 0; d + 1 < out.size(); ++d) rows = mul(rows, out[d]);
+    kernel.rowsId = compiler.compile(rows);
+    auto attr = kernel.func->attrs.find(tir::kComputePatternAttr);
+    kernel.kind = attr != kernel.func->attrs.end()
+                      ? tir::patternKindFromName(attr->second)
+                      : tir::analyzePatternKind(kernel.func);
+}
+
+/** A generated kernel's cost over entry-variable registers `regs`. */
+device::KernelCost
+generatedKernelCost(const KernelEntry& kernel, int64_t* regs,
+                    const device::DeviceSpec& spec)
+{
+    const ShapeProgram& program = kernel.shapes;
+    device::KernelCost cost;
+    cost.flops = (double)evalShape(program, kernel.flopsId, regs, kernel.flops);
+    cost.bytes = (double)evalShape(program, kernel.bytesId, regs, kernel.bytes);
+    // Fused kernels lose their single-op classification; detect a matmul
+    // core by arithmetic intensity instead.
+    bool has_fma = kernel.kind == tir::PatternKind::kOutputEwiseFusible ||
+                   (cost.bytes > 0 && cost.flops / cost.bytes > 16.0);
+    if (!has_fma) {
+        cost.efficiency = spec.genElemwiseEfficiency;
+        return cost;
+    }
+    // Matrix-vector (single output row) uses the tuned gemv schedule. The
+    // call's bind steps checked that every output dim evaluates.
+    std::optional<int64_t> rows = program.tryEval(kernel.rowsId, regs);
+    RELAX_ICHECK(rows) << "unevaluable output dims";
+    cost.efficiency =
+        *rows <= 1 ? spec.genGemvEfficiency : spec.genGemmEfficiency;
+    return cost;
 }
 
 } // namespace
@@ -221,18 +256,38 @@ struct Executor
     /** The kRet value, once executed. */
     Value result_{};
 
+    // Per-call scratch, reused across kernel calls: the call's tensors,
+    // its symbolic arguments, the kernel's registers (entry variables
+    // first), their values for data mode, and a library call's priced
+    // views with their padded dims.
+    std::vector<const NDArray*> args_{};
+    std::vector<int64_t> symArgs_{};
+    std::vector<int64_t> kernelRegs_{};
+    std::vector<int64_t> entry_{};
+    std::vector<PricedArg> priced_{};
+    std::vector<int64_t> pricedDims_{};
+
     /** Executes one instruction against the frame. */
-    void step(const Instr& instr, Frame& frame, const std::string& fn);
+    void step(const Instr& instr, Frame& frame, const VMFunction& fn);
 
     void execMatchShape(const Instr& instr, Frame& frame,
-                        const std::string& fn);
+                        const VMFunction& fn);
     void execAllocStorage(const Instr& instr, Frame& frame,
-                          const std::string& fn);
-    void execAllocTensor(const Instr& instr, Frame& frame);
+                          const VMFunction& fn);
+    void execAllocTensor(const Instr& instr, Frame& frame,
+                         const VMFunction& fn);
     /** Takes `bytes` from the runtime pool for this frame's lifetime. */
     void allocPooled(int64_t bytes, Frame& frame);
-    void execKernelCall(const Instr& instr, Frame& frame);
+    void execKernelCall(const Instr& instr, Frame& frame,
+                        const VMFunction& fn);
     void execPackedCall(const Instr& instr, Frame& frame);
+    /** Binds the kernel's entry variables into kernelRegs_ from args_ and
+     *  symArgs_, with the checks and messages of tir::bindShapes. */
+    void bindKernel(const KernelEntry& kernel);
+    /** Views of args_ at the shapes a library call is priced at. */
+    const std::vector<PricedArg>& pricedArgs(const Instr& instr,
+                                             Frame& frame,
+                                             const VMFunction& fn);
 };
 
 namespace {
@@ -436,6 +491,8 @@ VirtualMachine::run(VirtualMachine* shards,
                                      shard.graphKeyspace_});
         frames[s].regs.resize(func.numRegs);
         std::copy(args[s]->begin(), args[s]->end(), frames[s].regs.begin());
+        frames[s].live = func.shapes.registers();
+        frames[s].padded = frames[s].live;
         snaps.push_back(snapshotCounters(*shard.device_));
     }
 
@@ -454,7 +511,7 @@ VirtualMachine::run(VirtualMachine* shards,
             continue;
         }
         for (size_t s = 0; s < n; ++s) {
-            executors[s].step(instr, frames[s], name);
+            executors[s].step(instr, frames[s], func);
         }
     }
 
@@ -470,7 +527,7 @@ VirtualMachine::run(VirtualMachine* shards,
 }
 
 void
-Executor::step(const Instr& instr, Frame& frame, const std::string& fn)
+Executor::step(const Instr& instr, Frame& frame, const VMFunction& fn)
 {
     TraceRecorder& trace = device_->trace();
     switch (instr.op) {
@@ -481,10 +538,10 @@ Executor::step(const Instr& instr, Frame& frame, const std::string& fn)
         execAllocStorage(instr, frame, fn);
         break;
       case Instr::Op::kAllocTensor:
-        execAllocTensor(instr, frame);
+        execAllocTensor(instr, frame, fn);
         break;
       case Instr::Op::kKernelCall:
-        execKernelCall(instr, frame);
+        execKernelCall(instr, frame, fn);
         break;
       case Instr::Op::kPackedCall:
         execPackedCall(instr, frame);
@@ -493,41 +550,35 @@ Executor::step(const Instr& instr, Frame& frame, const std::string& fn)
         // Key the captured graph by the bucketed shape signature:
         // each symbolic value is rounded up to its bucket ceiling,
         // so every shape in a bucket maps to one graph (captured at
-        // the ceiling shape, launched padded/masked).
+        // the ceiling shape, launched padded/masked). The symbols come
+        // name-sorted for a deterministic signature (symbolic names
+        // are unique within a function: b, n, m, ...). The keyspace
+        // prefix keeps VMs running different executables on one
+        // device from replaying each other's graphs (graph ids restart
+        // per executable).
         int64_t block = std::max<int64_t>(instr.bucketBlock, 1);
-        std::vector<std::pair<std::string, int64_t>> dims;
-        dims.reserve(frame.symbols.size());
-        for (const auto& [v, value] : frame.symbols) {
-            int64_t padded =
-                block > 1 ? bucketCeiling(value, block) : value;
-            dims.emplace_back(v->name, padded);
-            if (padded != value) {
-                frame.paddedSymbols[v] = padded;
-            }
-        }
-        // Name-sorted for a deterministic signature (symbolic names
-        // are unique within a function: b, n, m, ...).
-        std::sort(dims.begin(), dims.end());
-        std::ostringstream signature;
-        // The keyspace prefix keeps VMs running different
-        // executables on one device from replaying each other's
-        // graphs (graph ids restart per executable).
-        if (!graphKeyspace_.empty()) {
-            signature << graphKeyspace_ << ":";
-        }
-        for (const auto& [name, value] : dims) {
-            signature << name << "=" << value << ",";
+        std::string signature;
+        if (!graphKeyspace_.empty()) signature = graphKeyspace_ + ":";
+        for (int32_t slot : instr.symbols) {
+            int64_t value = frame.live[slot];
+            int64_t padded = block > 1 ? bucketCeiling(value, block) : value;
+            frame.padded[slot] = padded;
+            frame.padding |= padded != value;
+            signature += fn.shapes.slots()[slot]->name + "=" +
+                         std::to_string(padded) + ",";
         }
         graphStartTs_ = device_->clockUs();
-        graphReplay_ =
-            device_->beginGraph(instr.graphId, signature.str());
-        graphSignature_ = signature.str();
+        graphReplay_ = device_->beginGraph(instr.graphId, signature);
+        graphSignature_ = std::move(signature);
         openGraphId_ = instr.graphId;
         break;
       }
       case Instr::Op::kGraphEnd:
         device_->endGraph();
-        frame.paddedSymbols.clear();
+        std::copy(frame.live.begin(),
+                  frame.live.begin() + fn.shapes.slots().size(),
+                  frame.padded.begin());
+        frame.padding = false;
         if (trace.enabled()) {
             // Capture vs replay is THE flag downstream tools read:
             // the Fig. 17 launch-overhead story is visible as
@@ -572,20 +623,25 @@ Executor::step(const Instr& instr, Frame& frame, const std::string& fn)
 
 void
 Executor::execMatchShape(const Instr& instr, Frame& frame,
-                               const std::string& fn)
+                         const VMFunction& fn)
 {
     const NDArray& tensor =
         asTensorValue(frame.regs[instr.args[0]], "match_shape");
-    for (const auto& [dim, v] : instr.binds) {
+    for (const auto& [dim, slot] : instr.binds) {
         RELAX_ICHECK(dim < (int)tensor.shape().size());
-        frame.symbols[v.get()] = tensor.shape()[dim];
+        // A slot padded at its region's entry keeps its ceiling there.
+        if (frame.padded[slot] == frame.live[slot]) {
+            frame.padded[slot] = tensor.shape()[dim];
+        }
+        frame.live[slot] = tensor.shape()[dim];
     }
-    for (const auto& [dim, expr] : instr.checks) {
-        int64_t expected = evalInt(expr, frame.symbols);
+    for (const auto& [dim, check] : instr.checks) {
+        int64_t expected = evalShape(fn.shapes, check.id, frame.live.data(),
+                                     check.source);
         if (tensor.shape()[dim] != expected) {
             RELAX_THROW(ShapeError)
-                << fn << ": runtime shape check failed: dim " << dim
-                << " expected " << relax::toString(expr) << " = "
+                << fn.name << ": runtime shape check failed: dim " << dim
+                << " expected " << relax::toString(check.source) << " = "
                 << expected << ", got " << tensor.shape()[dim];
         }
     }
@@ -608,14 +664,13 @@ Executor::allocPooled(int64_t bytes, Frame& frame)
 
 void
 Executor::execAllocStorage(const Instr& instr, Frame& frame,
-                                 const std::string& fn)
+                           const VMFunction& fn)
 {
-    int64_t bytes;
-    const int64_t* const_size = asIntImm(instr.sizeExpr);
+    const int64_t* const_size = asIntImm(instr.sizeExpr.source);
     if (const_size) {
         // Statically planned: allocate once, keep across invocations —
         // the "allocate all memory in advance" behavior of §4.3/§4.5.
-        auto key = std::make_pair(fn, (size_t)instr.dst);
+        auto key = std::make_pair(fn.name, (size_t)instr.dst);
         auto [it, inserted] = staticStorages_.emplace(key, nullptr);
         if (inserted) {
             device_->alloc(*const_size);
@@ -627,7 +682,8 @@ Executor::execAllocStorage(const Instr& instr, Frame& frame,
         frame.regs[instr.dst] = it->second;
         return;
     }
-    bytes = evalInt(instr.sizeExpr, frame.symbols);
+    int64_t bytes = evalShape(fn.shapes, instr.sizeExpr.id, frame.live.data(),
+                              instr.sizeExpr.source);
     // Dynamic storage: served by the runtime pool.
     allocPooled(bytes, frame);
     auto storage = std::make_shared<Storage>();
@@ -636,12 +692,14 @@ Executor::execAllocStorage(const Instr& instr, Frame& frame,
 }
 
 void
-Executor::execAllocTensor(const Instr& instr, Frame& frame)
+Executor::execAllocTensor(const Instr& instr, Frame& frame,
+                          const VMFunction& fn)
 {
     std::vector<int64_t> shape;
     shape.reserve(instr.shape.size());
-    for (const auto& dim : instr.shape) {
-        shape.push_back(evalInt(dim, frame.symbols));
+    for (const ShapeExpr& dim : instr.shape) {
+        shape.push_back(
+            evalShape(fn.shapes, dim.id, frame.live.data(), dim.source));
     }
     if (instr.args.empty()) {
         // No storage operand: direct runtime allocation (unplanned path).
@@ -658,109 +716,171 @@ Executor::execAllocTensor(const Instr& instr, Frame& frame)
 }
 
 void
-Executor::execKernelCall(const Instr& instr, Frame& frame)
+Executor::bindKernel(const KernelEntry& kernel)
 {
-    std::vector<NDArray> args;
-    args.reserve(instr.args.size());
+    const tir::PrimFunc& func = kernel.func;
+    if (args_.size() != func->params.size()) {
+        RELAX_THROW(ShapeError)
+            << func->name << ": expected " << func->params.size()
+            << " buffer arguments, got " << args_.size();
+    }
+    if (symArgs_.size() != func->symParams.size()) {
+        RELAX_THROW(ShapeError)
+            << func->name << ": expected " << func->symParams.size()
+            << " symbolic arguments, got " << symArgs_.size();
+    }
+    kernelRegs_.assign(kernel.shapes.registers().begin(),
+                       kernel.shapes.registers().end());
+    int64_t* regs = kernelRegs_.data();
+    for (const BindStep& step : kernel.binds) {
+        if (step.kind == BindStep::Kind::kSymArg) {
+            regs[step.value] = symArgs_[step.arg];
+            continue;
+        }
+        const std::vector<int64_t>& shape = args_[step.arg]->shape();
+        const tir::Buffer& buffer = func->params[step.arg];
+        switch (step.kind) {
+          case BindStep::Kind::kSymArg:
+            break;
+          case BindStep::Kind::kRank:
+            if ((int32_t)shape.size() != step.value) {
+                RELAX_THROW(ShapeError) << func->name << ": rank mismatch for "
+                                        << buffer->name;
+            }
+            break;
+          case BindStep::Kind::kBind:
+            regs[step.value] = shape[step.dim];
+            break;
+          case BindStep::Kind::kSame:
+            if (regs[step.value] != shape[step.dim]) {
+                RELAX_THROW(ShapeError)
+                    << func->name << ": inconsistent binding for "
+                    << kernel.shapes.slots()[step.value]->name << ": "
+                    << regs[step.value] << " vs " << shape[step.dim];
+            }
+            break;
+          case BindStep::Kind::kCheck: {
+            std::optional<int64_t> expected =
+                kernel.shapes.tryEval(step.value, regs);
+            if (!expected) {
+                RELAX_THROW(ShapeError)
+                    << func->name << ": cannot resolve dim "
+                    << relax::toString(buffer->shape[step.dim]) << " of "
+                    << buffer->name;
+            }
+            if (*expected != shape[step.dim]) {
+                RELAX_THROW(ShapeError)
+                    << func->name << ": shape check failed for "
+                    << buffer->name << " dim " << step.dim << ": expected "
+                    << *expected << ", got " << shape[step.dim];
+            }
+            break;
+          }
+        }
+    }
+}
+
+const std::vector<PricedArg>&
+Executor::pricedArgs(const Instr& instr, Frame& frame, const VMFunction& fn)
+{
+    priced_.clear();
+    if (!frame.padding) {
+        for (const NDArray* arg : args_) priced_.emplace_back(*arg);
+        return priced_;
+    }
+    // Inside a bucketed graph region, library kernels are priced at the
+    // padded binding like generated ones: each annotated argument at its
+    // shape over the padded frame. Compute still runs on the live
+    // tensors — padding affects the clock only.
+    pricedDims_.clear();
+    for (const std::vector<ShapeExpr>& shape : instr.argShapes) {
+        for (const ShapeExpr& dim : shape) {
+            pricedDims_.push_back(evalShape(fn.shapes, dim.id,
+                                            frame.padded.data(), dim.source));
+        }
+    }
+    const int64_t* dims = pricedDims_.data();
+    for (size_t i = 0; i < args_.size(); ++i) {
+        size_t rank = instr.argShapes[i].size();
+        priced_.emplace_back(*args_[i], rank ? dims : nullptr, rank);
+        dims += rank;
+    }
+    return priced_;
+}
+
+void
+Executor::execKernelCall(const Instr& instr, Frame& frame,
+                         const VMFunction& fn)
+{
+    args_.clear();
     for (RegIndex reg : instr.args) {
-        args.push_back(asTensorValue(frame.regs[reg],
-                                     instr.callee.c_str()));
+        args_.push_back(
+            &asTensorValue(frame.regs[reg], instr.callee.c_str()));
     }
     KernelEntry& kernel = exec->kernels[instr.kernel];
-    VarBinding binding;
+    // The live entry values data mode runs the kernel with.
+    auto keep_entry = [&] {
+        entry_.assign(kernelRegs_.begin(),
+                      kernelRegs_.begin() + kernel.shapes.slots().size());
+    };
     if (instr.library) {
-        // Inside a bucketed graph region, library kernels are priced at
-        // the padded binding like generated ones: each argument's shape
-        // expressions are re-evaluated with the padded symbol values and
-        // the cost model sees the padded stand-ins. Compute (below) still
-        // runs on the live tensors — padding affects the clock only.
-        const std::vector<NDArray>* priced = &args;
-        std::vector<NDArray> padded;
-        if (!frame.paddedSymbols.empty() &&
-            instr.argShapes.size() == args.size()) {
-            VarBinding padded_syms = frame.symbols;
-            for (const auto& [v, value] : frame.paddedSymbols) {
-                padded_syms[v] = value;
-            }
-            padded = args;
-            priced = &padded;
-            for (size_t i = 0; i < args.size(); ++i) {
-                if (instr.argShapes[i].empty()) continue;
-                std::vector<int64_t> padded_shape;
-                padded_shape.reserve(instr.argShapes[i].size());
-                for (const auto& dim : instr.argShapes[i]) {
-                    padded_shape.push_back(evalInt(dim, padded_syms));
-                }
-                if (padded_shape != args[i].shape()) {
-                    padded[i] = padForPricing(args[i],
-                                              std::move(padded_shape));
-                }
-            }
-        }
-        device_->launchKernel(
-            instr.library->cost(*priced, instr.attrs, device_->spec()),
-            instr.callee.c_str());
+        device_->launchKernel(instr.library->cost(pricedArgs(instr, frame, fn),
+                                                  *instr.attrs,
+                                                  device_->spec()),
+                              instr.callee.c_str());
     } else {
-        std::vector<int64_t> sym_args;
-        for (const auto& expr : instr.symExprs) {
-            sym_args.push_back(evalInt(expr, frame.symbols));
+        symArgs_.clear();
+        for (const ShapeExpr& expr : instr.symExprs) {
+            symArgs_.push_back(evalShape(fn.shapes, expr.id,
+                                         frame.live.data(), expr.source));
         }
-        binding = tir::bindShapes(kernel.func, args, sym_args);
+        if (!kernel.flops) compileCost(kernel);
+        bindKernel(kernel);
+        if (dataMode_) keep_entry();
         // Inside a bucketed graph region the captured graph's kernels are
         // launched at the bucket-ceiling shapes (padded, with masking), so
-        // cost is priced at the padded binding. TIR kernels share their
-        // symbolic VarNodes with the graph level, which makes the override
-        // a direct key lookup. Data-mode compute below still uses the real
-        // shapes — padding affects the clock, never the values.
-        const VarBinding* priced = &binding;
-        VarBinding padded_binding;
-        if (!frame.paddedSymbols.empty()) {
-            padded_binding = binding;
-            for (auto& [v, value] : padded_binding) {
-                auto padded = frame.paddedSymbols.find(v);
-                if (padded != frame.paddedSymbols.end()) {
-                    value = padded->second;
+        // a kernel variable that is a padded function symbol is priced at
+        // its ceiling: TIR kernels share their symbolic VarNodes with the
+        // graph level. Data-mode compute below still uses the real shapes
+        // — padding affects the clock, never the values.
+        if (frame.padding) {
+            for (size_t j = 0; j < instr.symbols.size(); ++j) {
+                int32_t slot = instr.symbols[j];
+                if (slot >= 0 && frame.padded[slot] != frame.live[slot]) {
+                    kernelRegs_[j] = frame.padded[slot];
                 }
             }
-            priced = &padded_binding;
         }
-        if (!kernel.flops) {
-            tir::TensorProgramCost cost = tir::analyzeCost(kernel.func);
-            kernel.flops = cost.flops;
-            kernel.bytes = cost.bytes;
-            auto attr = kernel.func->attrs.find(tir::kComputePatternAttr);
-            kernel.kind = attr != kernel.func->attrs.end()
-                              ? tir::patternKindFromName(attr->second)
-                              : tir::analyzePatternKind(kernel.func);
-        }
-        device::KernelCost kernel_cost;
-        kernel_cost.flops = (double)evalInt(kernel.flops, *priced);
-        kernel_cost.bytes = (double)evalInt(kernel.bytes, *priced);
-        kernel_cost.efficiency = generatedKernelEfficiency(
-            kernel, kernel_cost.flops, kernel_cost.bytes, *priced,
-            device_->spec());
-        device_->launchKernel(kernel_cost, instr.callee.c_str());
+        device_->launchKernel(generatedKernelCost(kernel, kernelRegs_.data(),
+                                                  device_->spec()),
+                              instr.callee.c_str());
     }
     if (!dataMode_) return;
     // From here on a library site runs like a generated kernel.
     if (instr.library) {
         if (!kernel.func) {
-            kernel.func = instr.library->program(
-                siteShapes(instr, args), instr.attrs, args[0].dtype());
+            kernel.setFunc(instr.library->program(
+                siteShapes(instr, args_), *instr.attrs, args_[0]->dtype()));
         }
-        binding = tir::bindShapes(kernel.func, args, {});
+        symArgs_.clear();
+        bindKernel(kernel);
+        keep_entry();
     }
     // Lowered on the first data-mode launch only. Instrumented
     // differential mode: an in-place call also runs, unaliased, on deep
     // copies of its arguments taken before the aliased run, and the two
-    // are bit-compared; the reference run shares the binding.
+    // are bit-compared; the reference run shares the entry values.
     if (!kernel.program) kernel.program = tir::lower(kernel.func);
-    bool alias_check = aliasCheckEnabled() && instr.attrs.count("inplace_arg");
+    std::vector<NDArray> args;
+    args.reserve(args_.size());
+    for (const NDArray* arg : args_) args.push_back(*arg);
+    bool alias_check =
+        aliasCheckEnabled() && instr.attrs->count("inplace_arg");
     std::vector<NDArray> ref_args;
     if (alias_check) ref_args = copyArgsForReference(args);
-    tir::execute(*kernel.program, args, binding);
+    tir::execute(*kernel.program, args, entry_);
     if (alias_check) {
-        tir::execute(*kernel.program, ref_args, binding);
+        tir::execute(*kernel.program, ref_args, entry_);
         diffAliasedRun(instr, args, ref_args);
     }
 }
@@ -772,16 +892,36 @@ Executor::execPackedCall(const Instr& instr, Frame& frame)
     for (RegIndex reg : instr.args) {
         args.push_back(asTensorValue(frame.regs[reg], "packed_call"));
     }
+    priced_.clear();
+    for (const NDArray& arg : args) priced_.emplace_back(arg);
     device_->launchKernel(
-        instr.library->cost(args, instr.attrs, device_->spec()),
+        instr.library->cost(priced_, *instr.attrs, device_->spec()),
         instr.callee.c_str());
     if (dataMode_) {
-        instr.library->compute(args, instr.attrs);
+        instr.library->compute(args, *instr.attrs);
         frame.regs[instr.dst] = args.back();
     } else {
         // Timing mode: data-dependent output degrades to worst case.
         frame.regs[instr.dst] = args.empty() ? NDArray() : args[0];
     }
+}
+
+double
+PricedArg::at(int64_t flat) const
+{
+    const std::vector<int64_t>& live = live_->shape();
+    if (shape_ == live.data()) return live_->at(flat);
+    if (live.size() != rank_) return 0.0;
+    // The same multi-index in the live tensor, if it is inside it.
+    int64_t live_flat = 0, stride = 1;
+    for (size_t d = rank_; d-- > 0;) {
+        int64_t index = flat % shape_[d];
+        flat /= shape_[d];
+        if (index >= live[d]) return 0.0;
+        live_flat += index * stride;
+        stride *= live[d];
+    }
+    return live_->at(live_flat);
 }
 
 } // namespace vm

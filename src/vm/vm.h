@@ -7,12 +7,17 @@
  *  - timing mode: tensors are metadata-only and only shapes, memory
  *    accounting and the device's virtual clock advance — how the
  *    benchmark harness executes paper-scale models.
+ * Each invocation's symbolic shape values live in its slot frame (one
+ * int64 per symbolic variable, exec.h), which the function's shape
+ * program reads; inside a bucketed graph region a second, padded frame
+ * holds the bucket ceilings that kernels are priced at.
  */
 #ifndef RELAX_VM_VM_H_
 #define RELAX_VM_VM_H_
 
 #include <functional>
 #include <memory>
+#include <numeric>
 #include <variant>
 
 #include "device/device.h"
@@ -74,13 +79,53 @@ struct GraphStats
 };
 
 /**
+ * One argument of a library kernel as its cost model sees it: the shape
+ * it is priced at (inside a bucketed graph region, its bucket-ceiling
+ * shape), its element type and the live tensor's host data, if any.
+ * Elements past the live extent read as 0, so a phantom row of a padded
+ * integer metadata tensor prices as an empty sequence.
+ */
+class PricedArg
+{
+  public:
+    /** `live` priced at `shape` (of rank `rank`), or at its own shape
+     *  when `shape` is null. `shape` must outlive the view. */
+    explicit PricedArg(const NDArray& live, const int64_t* shape = nullptr,
+                       size_t rank = 0)
+        : live_(&live), shape_(shape ? shape : live.shape().data()),
+          rank_(shape ? rank : live.shape().size())
+    {
+    }
+
+    size_t rank() const { return rank_; }
+    int64_t dim(size_t d) const { return shape_[d]; }
+    int64_t
+    numel() const
+    {
+        return std::accumulate(shape_, shape_ + rank_, int64_t(1),
+                               std::multiplies<int64_t>());
+    }
+    int64_t sizeBytes() const { return numel() * dtype().bytes(); }
+    DataType dtype() const { return live_->dtype(); }
+    bool hasData() const { return live_->hasData(); }
+    /** Element `flat` (row-major at the priced shape); 0 past the live
+     *  extent. */
+    double at(int64_t flat) const;
+
+  private:
+    const NDArray* live_;
+    const int64_t* shape_;
+    size_t rank_;
+};
+
+/**
  * A simulated vendor-library kernel or runtime builtin: a cost model plus
  * its data-mode semantics, a reference program (DPS kernels) or a native
  * compute (builtins, whose output size depends on the data).
  */
 struct LibraryKernel
 {
-    std::function<device::KernelCost(const std::vector<NDArray>& args,
+    std::function<device::KernelCost(const std::vector<PricedArg>& args,
                                      const ir::Attrs& attrs,
                                      const device::DeviceSpec& spec)>
         cost;

@@ -264,7 +264,7 @@ TEST(AliasAnalysisTest, RediscoversKVAppendSitesAutomatically)
     for (const auto& instr : exec->functions.at("decode_ragged").instrs) {
         if (instr.op == vm::Instr::Op::kKernelCall &&
             instr.callee == "kv.append_ragged" &&
-            instr.attrs.count("inplace_arg")) {
+            instr.attrs->count("inplace_arg")) {
             ++inplace_appends;
         }
     }
@@ -480,6 +480,103 @@ TEST(AliasAnalysisTest, DifferentialModeVerifiesInplaceKernels)
         EXPECT_NEAR(out_data.at(i),
                     std::exp(input.at(i)) + input.at(i), 1e-6);
     }
+}
+
+TEST(AliasAnalysisTest, DifferentialModeExemptsInputsSharingTheAliasedStorage)
+{
+    // z = exp(x); out = add(z, z): the planner aliases the output onto z,
+    // which is also the add's second input. Both inputs share the aliased
+    // storage, so the aliased run overwrites both; only the outputs and
+    // the inputs that do not share it may be compared.
+    auto module = IRModule::create();
+    shape::BlockBuilder builder(module);
+    SymVar n = var("n");
+    Var x = makeVar("x", tensorSInfo({n, intImm(4)}, DataType::f32()));
+    builder.beginDataflowBlock();
+    Var z = builder.emit(op::exp(x), "z");
+    Var out = builder.emitOutput(op::add(z, z), "out");
+    builder.endBlock();
+    module->addFunction("main", makeFunction({x}, builder.finish(out),
+                                             out->structInfo()));
+
+    frontend::CompileOptions options;
+    options.device = hostSpec();
+    options.enableFusion = false;
+    auto exec = frontend::compile(module, options);
+    EXPECT_EQ(countInplaceAttrs(exec->module), 1);
+
+    setenv("RELAX_ALIAS_CHECK", "1", 1);
+    int64_t before = vm::aliasChecksPerformed();
+    vm::VirtualMachine machine(
+        exec, std::make_shared<device::SimDevice>(hostSpec()),
+        /*data_mode=*/true);
+    NDArray input = NDArray::fromVector({2, 4}, DataType::f32(),
+                                        {0, 1, -1, 2, 3, -2, 0.5, 0});
+    vm::Value result;
+    EXPECT_NO_THROW(result = machine.invoke("main", {input}));
+    unsetenv("RELAX_ALIAS_CHECK");
+
+    EXPECT_EQ(vm::aliasChecksPerformed() - before, 1);
+    const NDArray& out_data = std::get<NDArray>(result);
+    for (int i = 0; i < 8; ++i) {
+        EXPECT_NEAR(out_data.at(i), 2.0 * std::exp(input.at(i)), 1e-6);
+    }
+}
+
+TEST(AliasAnalysisTest, DifferentialModeCatchesARealDivergence)
+{
+    // out = matmul(exp(x), w) is not safe in place: each output row is
+    // written while its input row is still being read. Forcing the
+    // output onto the input must make the aliased run diverge from the
+    // copy-in/copy-out reference, and the verifier must say so.
+    auto module = IRModule::create();
+    shape::BlockBuilder builder(module);
+    SymVar n = var("n");
+    Var x = makeVar("x", tensorSInfo({n, intImm(4)}, DataType::f32()));
+    Var w = makeVar("w", tensorSInfo({intImm(4), intImm(4)},
+                                     DataType::f32()));
+    builder.beginDataflowBlock();
+    Var z = builder.emit(op::exp(x), "z");
+    Var out = builder.emitOutput(op::matmul(z, w), "out");
+    builder.endBlock();
+    module->addFunction("main", makeFunction({x, w}, builder.finish(out),
+                                             out->structInfo()));
+
+    frontend::CompileOptions options;
+    options.device = hostSpec();
+    options.enableFusion = false;
+    auto exec = frontend::compile(module, options);
+    bool forced = false;
+    for (auto& instr : exec->functions.at("main").instrs) {
+        if (instr.op != vm::Instr::Op::kKernelCall ||
+            instr.callee.find("matmul") == std::string::npos) {
+            continue;
+        }
+        auto attrs = std::make_shared<Attrs>(*instr.attrs);
+        (*attrs)["inplace_arg"] = (int64_t)0;
+        instr.attrs = attrs;
+        instr.args.back() = instr.args[0];
+        forced = true;
+    }
+    ASSERT_TRUE(forced) << "no matmul kernel call";
+
+    setenv("RELAX_ALIAS_CHECK", "1", 1);
+    vm::VirtualMachine machine(
+        exec, std::make_shared<device::SimDevice>(hostSpec()),
+        /*data_mode=*/true);
+    NDArray input = NDArray::fromVector({2, 4}, DataType::f32(),
+                                        {0, 1, -1, 2, 3, -2, 0.5, 0});
+    NDArray weight = NDArray::zeros({4, 4}, DataType::f32());
+    for (int64_t i = 0; i < 16; ++i) weight.set(i, 0.25 * (double)(i % 5));
+    std::string message;
+    try {
+        machine.invoke("main", {input, weight});
+    } catch (const RuntimeError& e) {
+        message = e.what();
+    }
+    unsetenv("RELAX_ALIAS_CHECK");
+    EXPECT_NE(message.find("in-place output corrupted"), std::string::npos)
+        << message;
 }
 
 } // namespace

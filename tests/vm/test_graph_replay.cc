@@ -3,8 +3,9 @@
  * Bucketed execution-graph capture/replay tests: equivalence (the same
  * program produces bit-identical data-mode outputs with bucketed capture
  * on and off), counter-based hit-rate assertions for steady-state decode
- * (no wall-clock dependence), and padded-pricing determinism (every shape
- * in a bucket is priced at the bucket ceiling on the virtual clock).
+ * (no wall-clock dependence), padded-pricing determinism (every shape
+ * in a bucket is priced at the bucket ceiling on the virtual clock), and
+ * which symbols a capture signature lists.
  */
 #include <gtest/gtest.h>
 
@@ -194,6 +195,60 @@ TEST(GraphReplayTest, LibraryKernelsPriceAtPaddedBindingInsideRegions)
         EXPECT_DOUBLE_EQ(stats.latencyUs, ceiling_latency)
             << "rows=" << rows;
     }
+}
+
+TEST(GraphReplayTest, SignatureListsOnlySymbolsBoundBeforeTheRegion)
+{
+    // x:(n,4) -> exp -> relu, then match_cast to (m,4) -> exp -> relu:
+    // one region, inside which m is bound. Its capture signature lists,
+    // by name, only the symbols bound before it (n), at their bucket
+    // ceilings; m is neither listed nor padded.
+    auto module = IRModule::create();
+    shape::BlockBuilder builder(module);
+    SymVar n = var("n"), m = var("m");
+    Var x = makeVar("x", tensorSInfo({n, intImm(4)}, DataType::f32()));
+    builder.beginDataflowBlock();
+    Var lv0 = builder.emit(op::exp(x));
+    Var lv1 = builder.emit(op::relu(lv0));
+    builder.endBlock();
+    builder.beginBindingBlock();
+    Var cast = builder.emitMatchCast(
+        lv1, tensorSInfo({m, intImm(4)}, DataType::f32()));
+    builder.endBlock();
+    builder.beginDataflowBlock();
+    Var lv2 = builder.emit(op::exp(cast));
+    Var out = builder.emitOutput(op::relu(lv2));
+    builder.endBlock();
+    module->addFunction("main", makeFunction({x}, builder.finish(out),
+                                             out->structInfo()));
+    frontend::CompileOptions options = chainOptions(16);
+    options.bounds = {{"n", 64}, {"m", 64}};
+    ExecutablePtr exec = frontend::compile(module, options);
+
+    const VMFunction& fn = exec->functions.at("main");
+    std::vector<std::vector<std::string>> listed;
+    for (const Instr& instr : fn.instrs) {
+        if (instr.op != Instr::Op::kGraphBegin) continue;
+        listed.emplace_back();
+        for (int32_t slot : instr.symbols) {
+            listed.back().push_back(fn.shapes.slots()[slot]->name);
+        }
+    }
+    ASSERT_EQ(listed.size(), 1u) << toString(fn);
+    EXPECT_EQ(listed[0], (std::vector<std::string>{"n"}));
+
+    auto dev = std::make_shared<device::SimDevice>(graphCapableHost());
+    dev->trace().enable();
+    VirtualMachine machine(exec, dev, /*data_mode=*/false);
+    machine.invoke("main", {NDArray::metaOnly({5, 4}, DataType::f32())});
+    std::vector<std::string> signatures;
+    for (const TraceRecorder::Event& event : dev->trace().events()) {
+        if (event.cat != "graph") continue;
+        for (const TraceArg& arg : event.args) {
+            if (arg.key == "signature") signatures.push_back(arg.s);
+        }
+    }
+    EXPECT_EQ(signatures, (std::vector<std::string>{"n=8,"}));
 }
 
 /** Decode-step arguments for a tiny Llama (metadata-only, timing mode). */
